@@ -1,40 +1,31 @@
-"""Execution-engine tiers + boot-snapshot reset — the perf gates.
+"""Decoded dispatch + boot-snapshot reset — the perf gates.
 
-Three measurements, the timed ones interleaved min-of-N (alternating
-A/B/C runs and keeping each side's best round cancels machine noise;
-the *minimum* is the right statistic for a deterministic workload where
-every slowdown is external):
+Two measurements, interleaved min-of-N (alternating A/B runs and keeping
+each side's best round cancels machine noise; the *minimum* is the right
+statistic for a deterministic workload where every slowdown is
+external):
 
 1. **Micro** — a tight uninstrumented store/load/add loop where dispatch
-   is the largest possible fraction of the work, run under all three
-   engine tiers on the *same* program: the reference isinstance-chain
-   interpreter, pre-decoded closures (``engine="decoded"``), and
-   compiled Python (``engine="codegen"``).  Every run must return the
-   identical value — the speedup is only valid evidence if the tiers
-   did the same work.  Targets: decoded >= 2x reference, codegen >=
-   1.5x decoded.
+   is the largest possible fraction of the work, run under both engines
+   on the *same* program: the reference isinstance-chain interpreter and
+   pre-decoded closures (``decoded_dispatch=True``).  Every run must
+   return the identical value — the speedup is only valid evidence if
+   the engines did the same work.  Target: decoded >= 2x reference.
 
 2. **End-to-end** — a seeded ``OzzFuzzer`` campaign (the ``repro fuzz``
-   workload): optimized engine (auto tier + snapshot reset) vs the
-   reference configuration (``engine="reference"``,
+   workload): optimized configuration (decoded dispatch + snapshot
+   reset) vs the reference configuration (``decoded_dispatch=False``,
    ``snapshot_reset=False``).  Target: >= 1.3x tests/sec.  The
    campaigns must also be *equivalent*: identical :class:`FuzzStats`
    and identical crash-title sets, asserted every round.
 
-3. **Codegen determinism** — two fresh Python processes each generate
-   the full kernel image's codegen sources and hash them
-   (:func:`repro.kir.codegen.program_source_digest`); the digests must
-   be byte-identical.  Guards against iteration-order or id()-derived
-   nondeterminism leaking into generated code.
-
 Results land in ``benchmarks/artifacts/interp_dispatch.json`` together
 with an :data:`ENGINE_COUNTERS` snapshot (boots vs resets proves the
-snapshot path actually carried the optimized campaign; promotions and
-codegen cache hits prove the codegen tier actually engaged).
+snapshot path actually carried the optimized campaign).
 
 Run standalone (``python benchmarks/bench_interp_dispatch.py [--quick]``)
 or under pytest, where the collected test enforces the CI floor:
-every ratio must stay above 1.0 (no tier may lose to the one below it).
+every ratio must stay above 1.0 (the optimized side may never lose).
 """
 
 from __future__ import annotations
@@ -42,8 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
-import sys
 import time
 
 from repro.config import KernelConfig
@@ -64,12 +53,11 @@ E2E_ITERS = 150        # fuzz_one calls per campaign
 E2E_ROUNDS = 9
 SEED = 7
 
-#: CI floor — no engine tier may lose to the tier below it.
+#: CI floor — the optimized side may never lose to the reference.
 FLOOR = 1.0
 #: PR acceptance targets (reported in the artifact; enforced when the
 #: benchmark is run standalone without --quick).
 MICRO_TARGET = 2.0      # decoded vs reference
-CODEGEN_TARGET = 1.5    # codegen vs decoded
 E2E_TARGET = 1.3
 
 
@@ -92,34 +80,30 @@ def _loop_program() -> Program:
 PROGRAM = _loop_program()
 
 
-def _micro_once(engine: str, iters: int) -> float:
-    m = Machine(PROGRAM, engine=engine)
+def _micro_once(decoded: bool, iters: int) -> float:
+    m = Machine(PROGRAM, decoded_dispatch=decoded)
     thread = m.interp.spawn("spin", (iters,), fuel=10**9)
     t0 = time.perf_counter()
     m.interp.run(thread)
     elapsed = time.perf_counter() - t0
-    # Outcome equality: every tier must compute the identical value.
-    assert thread.retval == sum(range(iters)), (engine, thread.retval)
+    # Outcome equality: both engines must compute the identical value.
+    assert thread.retval == sum(range(iters)), (decoded, thread.retval)
     return elapsed
 
 
 def bench_micro(iters: int, rounds: int) -> dict:
-    best = {"reference": float("inf"), "decoded": float("inf"),
-            "codegen": float("inf")}
-    for engine in best:   # warm-up: decode + codegen + bytecode caches
-        _micro_once(engine, iters)
+    best = {False: float("inf"), True: float("inf")}
+    for decoded in best:   # warm-up: decode + bytecode caches
+        _micro_once(decoded, iters)
     for _ in range(rounds):
-        for engine in best:
-            best[engine] = min(best[engine], _micro_once(engine, iters))
+        for decoded in best:
+            best[decoded] = min(best[decoded], _micro_once(decoded, iters))
     return {
         "loop_iters": iters,
         "rounds": rounds,
-        "reference_s": best["reference"],
-        "decoded_s": best["decoded"],
-        "codegen_s": best["codegen"],
-        "speedup": best["reference"] / best["decoded"],
-        "codegen_vs_decoded": best["decoded"] / best["codegen"],
-        "codegen_vs_reference": best["reference"] / best["codegen"],
+        "reference_s": best[False],
+        "decoded_s": best[True],
+        "speedup": best[False] / best[True],
     }
 
 
@@ -138,7 +122,7 @@ def bench_e2e(iters: int, rounds: int) -> dict:
     for _ in range(rounds):
         t_o, stats_o, titles_o = _campaign(iters)
         t_r, stats_r, titles_r = _campaign(
-            iters, engine="reference", snapshot_reset=False
+            iters, decoded_dispatch=False, snapshot_reset=False
         )
         # Differential gate: same input stream => same campaign outcome.
         assert stats_o == stats_r, (stats_o, stats_r)
@@ -160,39 +144,6 @@ def bench_e2e(iters: int, rounds: int) -> dict:
     }
 
 
-_DIGEST_SNIPPET = (
-    "from repro.config import KernelConfig\n"
-    "from repro.kernel.kernel import KernelImage\n"
-    "from repro.kir.codegen import program_source_digest\n"
-    "image = KernelImage(KernelConfig())\n"
-    "print(program_source_digest(image.program))\n"
-)
-
-
-def check_codegen_determinism() -> dict:
-    """Generated sources must hash identically across fresh processes.
-
-    Each subprocess builds the kernel image from scratch (fresh id()
-    space, fresh dict/set iteration seeds) and digests every generated
-    source under both oemu variants.  A mismatch means nondeterminism
-    leaked into codegen — which would break reproducible campaigns and
-    the differential suite's byte-identical guarantee.
-    """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + os.pathsep + existing if existing else src
-    digests = []
-    for _ in range(2):
-        out = subprocess.run(
-            [sys.executable, "-c", _DIGEST_SNIPPET],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        digests.append(out.stdout.strip())
-    assert digests[0] == digests[1], f"codegen nondeterminism: {digests}"
-    return {"digest": digests[0], "processes": 2, "identical": True}
-
-
 def run_benchmark(quick: bool = False) -> dict:
     micro_iters = MICRO_ITERS // 4 if quick else MICRO_ITERS
     micro_rounds = 3 if quick else MICRO_ROUNDS
@@ -202,20 +153,17 @@ def run_benchmark(quick: bool = False) -> dict:
     ENGINE_COUNTERS.reset()
     micro = bench_micro(micro_iters, micro_rounds)
     e2e = bench_e2e(e2e_iters, e2e_rounds)
-    determinism = check_codegen_determinism()
 
     artifact = {
         "quick": quick,
         "seed": SEED,
         "targets": {
             "micro_speedup": MICRO_TARGET,
-            "codegen_vs_decoded": CODEGEN_TARGET,
             "e2e_speedup": E2E_TARGET,
         },
         "floor": FLOOR,
         "micro_uninstrumented_loop": micro,
         "e2e_fuzz_campaign": e2e,
-        "codegen_determinism": determinism,
         "engine_counters": ENGINE_COUNTERS.snapshot(),
     }
     os.makedirs(os.path.dirname(ARTIFACT_PATH), exist_ok=True)
@@ -229,10 +177,8 @@ def _report(artifact: dict) -> None:
     e2e = artifact["e2e_fuzz_campaign"]
     print(
         f"micro: reference {micro['reference_s'] * 1e3:.1f}ms, decoded "
-        f"{micro['decoded_s'] * 1e3:.1f}ms, codegen "
-        f"{micro['codegen_s'] * 1e3:.1f}ms -> decoded {micro['speedup']:.2f}x "
-        f"reference (target {MICRO_TARGET:.1f}x), codegen "
-        f"{micro['codegen_vs_decoded']:.2f}x decoded (target {CODEGEN_TARGET:.1f}x)"
+        f"{micro['decoded_s'] * 1e3:.1f}ms -> {micro['speedup']:.2f}x "
+        f"(target {MICRO_TARGET:.1f}x)"
     )
     print(
         f"e2e:   optimized {e2e['optimized_tests_per_s']:.0f} tests/s vs reference "
@@ -240,29 +186,23 @@ def _report(artifact: dict) -> None:
         f"(target {E2E_TARGET:.1f}x); outcomes identical over "
         f"{e2e['rounds']} rounds of {e2e['tests_per_campaign']} tests"
     )
-    print(f"codegen determinism: {artifact['codegen_determinism']['digest'][:16]}... "
-          f"identical across {artifact['codegen_determinism']['processes']} processes")
     print(f"counters: {artifact['engine_counters']}")
     print(f"wrote {ARTIFACT_PATH}")
 
 
 def test_dispatch_never_slower_than_reference():
-    """CI floor: no engine tier may lose to the tier below it.
+    """CI floor: the optimized side may never lose to the reference.
 
-    The full >=2x / >=1.5x / >=1.3x acceptance numbers are checked when
-    the benchmark runs standalone (see __main__); under pytest (CI
-    machines with unpredictable load) only the never-slower floor is
-    enforced.  Codegen determinism is exact and enforced everywhere.
+    The full >=2x / >=1.3x acceptance numbers are checked when the
+    benchmark runs standalone (see __main__); under pytest (CI machines
+    with unpredictable load) only the never-slower floor is enforced.
     """
     artifact = run_benchmark(quick=True)
     _report(artifact)
     micro = artifact["micro_uninstrumented_loop"]["speedup"]
-    codegen = artifact["micro_uninstrumented_loop"]["codegen_vs_decoded"]
     e2e = artifact["e2e_fuzz_campaign"]["speedup"]
     assert micro > FLOOR, f"decoded dispatch slower than reference: {micro:.2f}x"
-    assert codegen > FLOOR, f"codegen slower than decoded: {codegen:.2f}x"
     assert e2e > FLOOR, f"optimized campaign slower than reference: {e2e:.2f}x"
-    assert artifact["codegen_determinism"]["identical"]
 
 
 def main() -> int:
@@ -276,13 +216,11 @@ def main() -> int:
     artifact = run_benchmark(quick=args.quick)
     _report(artifact)
     micro = artifact["micro_uninstrumented_loop"]["speedup"]
-    codegen = artifact["micro_uninstrumented_loop"]["codegen_vs_decoded"]
     e2e = artifact["e2e_fuzz_campaign"]["speedup"]
     if args.quick:
-        ok = micro > FLOOR and codegen > FLOOR and e2e > FLOOR
+        ok = micro > FLOOR and e2e > FLOOR
     else:
-        ok = (micro >= MICRO_TARGET and codegen >= CODEGEN_TARGET
-              and e2e >= E2E_TARGET)
+        ok = micro >= MICRO_TARGET and e2e >= E2E_TARGET
     if not ok:
         print("FAIL: speedup below target")
         return 1

@@ -2,14 +2,14 @@
 
 Workload: a fixed corpus of *long* syscall programs — triple
 concatenations of the seed STIs (8-13 calls each), the shape syzkaller
-programs actually have — fuzzed at the decoded tier with a pair budget
-of 10.  Prefix length is what the cache amortizes: for a pair at
+programs actually have — fuzzed on the default (decoded) engine with a
+pair budget of 10.  Prefix length is what the cache amortizes: for a pair at
 position ``i`` the fan-out re-executes ``i`` calls per interleaving
 without the cache, so long programs are where the mechanism earns its
 keep (the seed corpus' 2-4 call programs spend under a tenth of their
 time in prefixes and bound any cache's effect at ~1.1x; these spend
 over a third of their MTI execution there).  Both sides run the same
-fixed engine tier so the comparison isolates the cache.
+engine so the comparison isolates the cache.
 
 Measurement is interleaved min-of-N over per-process CPU time
 (alternating cached/uncached order each round and keeping each side's
@@ -58,7 +58,6 @@ ARTIFACT_PATH = os.path.join(
 CORPUS_SIZE = 16       # concatenated seed programs per campaign
 E2E_ROUNDS = 14
 SEED = 7
-ENGINE = "decoded"     # same fixed tier on both sides
 MAX_PAIRS = 10
 
 #: CI floor — the cached campaign must never lose to the uncached one.
@@ -103,7 +102,7 @@ def _corpus() -> list:
 
 
 def _campaign(*, prefix_cache: bool) -> tuple:
-    image = KernelImage(KernelConfig(prefix_cache=prefix_cache, engine=ENGINE))
+    image = KernelImage(KernelConfig(prefix_cache=prefix_cache))
     fuzzer = OzzFuzzer(
         image, seed=SEED, use_seeds=False, max_pairs_per_sti=MAX_PAIRS
     )
@@ -145,7 +144,6 @@ def bench_e2e(rounds: int) -> dict:
         cached_t = min(cached_t, timings[True])
         uncached_t = min(uncached_t, timings[False])
     return {
-        "engine": ENGINE,
         "corpus_size": CORPUS_SIZE,
         "max_pairs_per_sti": MAX_PAIRS,
         "rounds": rounds,
@@ -186,7 +184,7 @@ def _report(artifact: dict) -> None:
     e2e = artifact["e2e_fuzz_campaign"]
     counters = e2e["cached_prefix_counters"]
     print(
-        f"e2e ({e2e['engine']} tier): cached {e2e['cached_tests_per_s']:.0f} "
+        f"e2e: cached {e2e['cached_tests_per_s']:.0f} "
         f"tests/s vs uncached {e2e['uncached_tests_per_s']:.0f} tests/s -> "
         f"{e2e['speedup']:.2f}x (target {E2E_TARGET:.1f}x); outcomes "
         f"identical over {e2e['rounds']} rounds of "

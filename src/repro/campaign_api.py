@@ -197,14 +197,6 @@ class CampaignSpec:
     ``use_seeds``    start from the Syzlang seed corpus (§6.1) or not.
     ``static_hints`` seed/prioritize scheduling hints from KIRA's static
                      reordering candidates (zero-execution analysis).
-    ``engine``       execution-engine tier for worker kernels: ``auto``
-                     (decoded closures + hot-function codegen
-                     promotion, the default), ``reference``,
-                     ``decoded``, or ``codegen``.
-    ``decoded_dispatch`` legacy boolean (pre-tier schema); ``False``
-                     folds into ``engine="reference"`` when the engine
-                     is left at ``auto``.  Kept normalized for old
-                     checkpoint readers.
     ``snapshot_reset`` reuse one booted kernel per worker via the boot
                      snapshot; off = fresh boot per test.
     ``prefix_cache`` per-STI prefix snapshots so the MTI fan-out skips
@@ -240,8 +232,6 @@ class CampaignSpec:
     time_budget: Optional[float] = None
     use_seeds: bool = True
     static_hints: bool = False
-    engine: str = "auto"
-    decoded_dispatch: bool = True
     snapshot_reset: bool = True
     prefix_cache: bool = True
     shard_timeout: Optional[float] = None
@@ -272,11 +262,6 @@ class CampaignSpec:
             max_retries=self.max_retries,
         )
         object.__setattr__(self, "patched", tuple(sorted(set(self.patched))))
-        from repro.engine import normalize_engine
-
-        engine = normalize_engine(self.engine, decoded_dispatch=self.decoded_dispatch)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "decoded_dispatch", engine != "reference")
         object.__setattr__(
             self, "prefix_cache", self.prefix_cache and self.snapshot_reset
         )
@@ -453,7 +438,7 @@ class CampaignResult:
     failed_shards: Tuple[ShardFailure, ...] = field(default=(), compare=False)
     interrupted: bool = field(default=False, compare=False)
     # Execution-engine telemetry summed across worker processes (boots,
-    # resets, decode/codegen cache activity, tier promotions).  Workers
+    # resets, decode cache activity, prefix-cache hits).  Workers
     # measure per-batch deltas, so multiprocess runs report real numbers
     # instead of the parent process's untouched module counters.
     engine_counters: Dict[str, int] = field(default_factory=dict, compare=False)
@@ -587,8 +572,6 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
         "time_budget": spec.time_budget,
         "use_seeds": spec.use_seeds,
         "static_hints": spec.static_hints,
-        "engine": spec.engine,
-        "decoded_dispatch": spec.decoded_dispatch,
         "snapshot_reset": spec.snapshot_reset,
         "prefix_cache": spec.prefix_cache,
         "checkpoint_dir": spec.checkpoint_dir,
@@ -602,9 +585,8 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
 KNOWN_SPEC_KEYS = frozenset(
     {
         "iterations", "seed", "patched", "policy", "time_budget",
-        "use_seeds", "static_hints", "engine", "decoded_dispatch",
-        "snapshot_reset", "prefix_cache", "checkpoint_dir",
-        "checkpoint_every",
+        "use_seeds", "static_hints", "snapshot_reset", "prefix_cache",
+        "checkpoint_dir", "checkpoint_every",
         # schema v1 flat worker knobs
         "jobs", "batch_size", "shard_timeout", "max_retries",
     }
@@ -618,7 +600,9 @@ def spec_from_dict(sp: dict) -> CampaignSpec:
     ``jobs``/``shard_timeout``/``max_retries`` keys) payloads — older
     artifacts and checkpoints simply lack the newer keys.  Partial
     payloads (an HTTP submission with only ``{"iterations": 8}``) are
-    valid: every key is optional.
+    valid: every key is optional.  Keys it does not read, such as the
+    ``engine`` and ``decoded_dispatch`` fields of older payloads, are
+    ignored.
     """
     if "policy" in sp:
         policy = WorkerPolicy.from_dict(sp["policy"])
@@ -636,10 +620,6 @@ def spec_from_dict(sp: dict) -> CampaignSpec:
         time_budget=sp.get("time_budget"),
         use_seeds=sp.get("use_seeds", True),
         static_hints=sp.get("static_hints", False),
-        # Older payloads lack "engine"; decoded_dispatch=False then folds
-        # into the reference tier during spec normalization.
-        engine=sp.get("engine", "auto"),
-        decoded_dispatch=sp.get("decoded_dispatch", True),
         snapshot_reset=sp.get("snapshot_reset", True),
         prefix_cache=sp.get("prefix_cache", True),
         checkpoint_dir=sp.get("checkpoint_dir"),

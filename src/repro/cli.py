@@ -41,19 +41,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         result = resume_campaign(args.resume)
         spec = result.spec
     else:
-        engine = args.engine
-        if args.reference_interp:
-            import warnings
-
-            warnings.warn(
-                "--reference-interp is deprecated; use --engine reference",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # The shim only applies when --engine was left at its default;
-            # an explicit --engine always wins over the legacy flag.
-            if engine == "auto":
-                engine = "reference"
         policy = WorkerPolicy(
             jobs=args.jobs,
             batch_size=args.batch_size,
@@ -65,7 +52,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             seed=args.seed,
             patched=tuple(args.patch or ()),
             static_hints=args.static_hints,
-            engine=engine,
             snapshot_reset=not args.no_snapshot_reset,
             prefix_cache=not args.no_prefix_cache,
             checkpoint_dir=args.checkpoint_dir,
@@ -81,13 +67,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     if result.engine_counters:
         c = result.engine_counters
-        print(
-            f"engine {spec.engine}: {c.get('boots', 0)} boots, "
-            f"{c.get('resets', 0)} resets, "
-            f"{c.get('promotions', 0)} promotions, "
-            f"codegen cache {c.get('codegen_cache_hits', 0)} hits / "
-            f"{c.get('codegen_cache_misses', 0)} misses"
-        )
+        print(f"kernel: {c.get('boots', 0)} boots, {c.get('resets', 0)} resets")
         print(
             f"prefix cache: {c.get('prefix_hits', 0)} hits, "
             f"{c.get('prefix_snapshots', 0)} snapshots, "
@@ -350,8 +330,6 @@ def cmd_docs(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.engine import ENGINE_CHOICES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="OZZ (SOSP 2024) reproduction: kernel OOO-bug fuzzing on a simulated kernel",
@@ -383,17 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--artifacts", metavar="DIR",
         help="write a replayable schedule artifact per unique crash to DIR",
-    )
-    p.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="execution engine tier: 'reference' (isinstance-chain "
-             "interpreter), 'decoded' (pre-decoded closures), 'codegen' "
-             "(compile every function to Python), or 'auto' (decoded "
-             "with hot-function promotion to codegen; default)",
-    )
-    p.add_argument(
-        "--reference-interp", action="store_true",
-        help="deprecated alias for --engine reference",
     )
     p.add_argument(
         "--no-snapshot-reset", action="store_true",

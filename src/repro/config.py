@@ -34,17 +34,11 @@ class KernelConfig:
     ``sbitmap_manual_percpu``  the §6.2 "manual modification": force the
                       sbitmap per-CPU bug's threads to share one per-CPU
                       block even though they run on different CPUs.
-    ``engine``        execution-engine tier: ``"auto"`` (decoded
-                      closures with hot-function promotion to generated
-                      code, the default), ``"reference"`` (the
-                      ``isinstance`` interpreter), ``"decoded"`` (closure
-                      dispatch only), or ``"codegen"`` (compile every
-                      function up front).  All tiers are observably
+    ``decoded_dispatch``  execution-engine switch: pre-decoded closures
+                      (:mod:`repro.kir.decode`, the default) or, when
+                      ``False``, the reference ``isinstance``
+                      interpreter.  Both engines are observably
                       identical — the differential suites prove it.
-    ``decoded_dispatch``  legacy boolean from before the tier model;
-                      ``False`` folds into ``engine="reference"`` when
-                      the engine is left at ``auto``.  Kept normalized
-                      (``engine != "reference"``) for old readers.
     ``snapshot_reset``  capture a boot snapshot so :meth:`Kernel.reset`
                       can restore pristine state via dirty-page tracking
                       and the fuzzer can reuse one kernel per shard
@@ -66,7 +60,6 @@ class KernelConfig:
     strict_lint: bool = False
     ncpus: int = 2
     sbitmap_manual_percpu: bool = False
-    engine: str = "auto"
     decoded_dispatch: bool = True
     snapshot_reset: bool = True
     prefix_cache: bool = True
@@ -74,11 +67,6 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if self.ncpus < 1:
             raise ConfigError("need at least one CPU")
-        from repro.engine import normalize_engine
-
-        engine = normalize_engine(self.engine, decoded_dispatch=self.decoded_dispatch)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "decoded_dispatch", engine != "reference")
         object.__setattr__(
             self, "prefix_cache", self.prefix_cache and self.snapshot_reset
         )

@@ -50,7 +50,6 @@ def campaign_image(spec: "CampaignSpec") -> KernelImage:
     return KernelImage(
         KernelConfig(
             patched=frozenset(spec.patched),
-            engine=spec.engine,
             snapshot_reset=spec.snapshot_reset,
             prefix_cache=spec.prefix_cache,
         )
@@ -86,7 +85,7 @@ class ShardResult:
     coverage: CoverageMap
     seconds: float
     # Engine-counter deltas measured around this batch's run, in the
-    # process that actually ran it (empty in pre-tier checkpoints).
+    # process that actually ran it (empty in checkpoints that predate it).
     engine_counters: Dict[str, int] = field(default_factory=dict)
 
     # -- checkpoint serialization ------------------------------------------

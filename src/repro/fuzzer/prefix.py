@@ -29,7 +29,7 @@ request (the fan-out only positions at a pair's first index, which is
 bounded by ``min(n - 2, max_pairs_per_sti - 1)``).
 
 Restore-positioning is byte-identical to fresh execution (the
-differential suite proves it across all engine tiers), so cached and
+differential suite proves it under both engines), so cached and
 uncached campaigns produce equal results.
 
 A crash or hang inside the prefix "cannot happen" — ``profile_sti``
@@ -49,21 +49,6 @@ from repro.kernel.kernel import Kernel, KernelPool
 from repro.oemu.profiler import ENGINE_COUNTERS
 
 
-def _prime_min_depth(engine: str) -> int:
-    """Shallowest depth worth snapshotting during profiling (priming).
-
-    The capture + composed-restore overhead is constant per level while
-    the saving scales with depth, so the break-even point depends on
-    what one syscall costs.  On fixed interpretation tiers a syscall
-    always costs more than a capture — every depth repays eager priming.
-    With codegen promotion in play (``auto``/``codegen``), a depth-1 hit
-    saves a single *promoted* syscall, which can cost less than the
-    capture itself; depth-1 levels then only get a snapshot once the
-    fan-out actually requests them (demand-driven, via ``position``).
-    """
-    return 1 if engine in ("reference", "decoded") else 2
-
-
 class PrefixCache:
     """Lazily cached ``prefix_len → (snapshot, retvals)`` for one STI."""
 
@@ -79,7 +64,6 @@ class PrefixCache:
         # level reached); the fuzzer passes the set of prefix lengths the
         # pair fan-out can actually request.
         self._wanted = None if wanted is None else frozenset(wanted)
-        self._prime_min = _prime_min_depth(pool.image.config.engine)
         self._snaps: Dict[int, object] = {}  # prefix_len -> PrefixSnapshot
         self._retvals: List[int] = []        # retvals of executed calls
         self._failed_at: Optional[int] = None
@@ -102,11 +86,7 @@ class PrefixCache:
         depth = len(retvals)
         if depth > len(self._retvals):
             self._retvals = list(retvals)
-        if (
-            depth >= self._prime_min
-            and self._wants(depth)
-            and depth not in self._snaps
-        ):
+        if self._wants(depth) and depth not in self._snaps:
             self._snaps[depth] = kernel.capture_prefix()
 
     def _wants(self, depth: int) -> bool:
@@ -165,8 +145,3 @@ class PrefixCache:
         ENGINE_COUNTERS.calls_skipped += skipped
         kernel.engine_counters.prefix_hits += 1
         kernel.engine_counters.calls_skipped += skipped
-        # The skipped calls would have executed deterministically; credit
-        # their entry functions so the auto tier's hot-function promotion
-        # fires at the same point as in an uncached campaign.
-        for call in self.sti.calls[:skipped]:
-            kernel.credit_syscall(call.name)

@@ -131,7 +131,7 @@ _PREBUILT: Optional[Tuple[tuple, object]] = None
 
 
 def _image_key(spec: CampaignSpec) -> tuple:
-    return (spec.patched, spec.engine, spec.snapshot_reset, spec.prefix_cache)
+    return (spec.patched, spec.snapshot_reset, spec.prefix_cache)
 
 
 def _inherited_image(spec: CampaignSpec):

@@ -65,11 +65,6 @@ from repro.trace.sink import NULL_SINK
 #: Default per-syscall instruction budget.
 DEFAULT_FUEL = 200_000
 
-#: Distinguishes "never considered for promotion" from "promotion
-#: attempted, function unsupported (None)" in the compiled-table lookup.
-_UNSEEN = object()
-
-
 class HelperRetry(Exception):
     """Raised by a helper to re-execute the same instruction next step.
 
@@ -133,19 +128,15 @@ class ThreadCtx:
 
 
 class Interpreter:
-    """Stepwise executor over a machine — the tiered engine's driver.
+    """Stepwise executor over a machine.
 
-    The engine tier (:class:`repro.engine.EngineTier`) decides what the
-    step loop runs: the ``reference`` tier dispatches through
-    :meth:`_execute` (kept verbatim for differential testing), every
-    other tier runs pre-compiled closures from :mod:`repro.kir.decode`.
-    On the unobserved run-to-completion path (:meth:`run` with no step
-    cap, no coverage, no trace sink) the ``auto`` and ``codegen`` tiers
-    additionally promote hot functions to generated straight-line code
-    (:mod:`repro.kir.codegen`), entered at block leaders and exited back
-    to this driver on call/return.  Step-mode execution — anything an
-    observer watches — always stays on the decoded closures so the Step
-    stream is emitted from one place.
+    Two engines with identical observable behaviour (the differential
+    suites prove it): the reference engine dispatches through
+    :meth:`_execute` (kept verbatim for differential testing), the
+    decoded engine runs pre-compiled closures from
+    :mod:`repro.kir.decode`.  ``decoded`` picks between them; a machine
+    with a dependency tracker always runs the reference engine, because
+    the decoded closures are deps-free by design.
 
     Per-step machine attributes (``kcov``, ``trace``) are hoisted into
     the interpreter and refreshed by :meth:`rebind`, which the machine
@@ -153,24 +144,11 @@ class Interpreter:
     :meth:`Kernel.reset`).
     """
 
-    def __init__(self, machine, *, decoded: bool = False, engine: Optional[str] = None) -> None:
-        from repro.engine import EngineTier
-
+    def __init__(self, machine, *, decoded: bool = False) -> None:
         self.machine = machine
-        self.tier = EngineTier.resolve(
-            engine,
-            decoded_dispatch=decoded if engine is None else True,
-            pin_reference=getattr(machine, "deps", None) is not None,
-        )
-        self.engine = self.tier.active
         self._bound = None
         self._codes = None
-        #: id(func) -> bound generated fn (None = not codegen-supported).
-        self._compiled = {}
-        #: id(func) -> unobserved-run entries while below the threshold.
-        self._hot_counts = {}
-        self._promote_after = self.tier.promote_threshold
-        if self.tier.uses_decode:
+        if decoded and getattr(machine, "deps", None) is None:
             from repro.kir.decode import BoundProgram
 
             self._bound = BoundProgram(machine)
@@ -271,10 +249,9 @@ class Interpreter:
         if max_steps is None and self.unobserved_decoded:
             # Nobody observes instruction retirement (no coverage, no
             # trace sink) and there is no step cap, so the per-step
-            # dispatch through step() is pure overhead — run the fast
-            # tiers (decoded closures + promoted generated code) in a
-            # tight loop instead.
-            return self._run_tiered(thread)
+            # dispatch through step() is pure overhead — run the decoded
+            # closures in a tight loop instead.
+            return self._run_decoded(thread)
         steps = 0
         step = self.step  # hoisted: one bound-method lookup per run
         while step(thread):
@@ -285,90 +262,19 @@ class Interpreter:
                 )
         return thread.retval
 
-    def credit_entry(self, func: Function, n: int = 1) -> None:
-        """Count ``n`` unobserved entries of ``func`` toward promotion.
-
-        The prefix cache skips deterministic re-executions whose every
-        instruction *would* have run; without crediting them, skipping
-        work also starves the hot-function counters and the ``auto``
-        tier promotes later than an uncached campaign — a perf (never a
-        correctness) regression.  Promotion itself still happens on the
-        next real entry, inside the run loop.
-        """
-        if self._promote_after is None:
-            return
-        fid = id(func)
-        if fid in self._compiled:
-            return
-        count = self._hot_counts.get(fid, 0) + n
-        if count >= self._promote_after:
-            # Promote now — the skipped execution would have crossed the
-            # threshold mid-run, so waiting for the next real entry would
-            # leave hot code on the slow tier longer than uncached runs.
-            self._hot_counts.pop(fid, None)
-            self._promote(func)
-        else:
-            self._hot_counts[fid] = count
-
-    def _promote(self, func: Function):
-        """Compile-and-bind one function to the codegen tier.
-
-        Called once per function per machine when its unobserved-run
-        entry count crosses the tier threshold.  Returns the bound
-        generated function, or ``None`` (also memoized) when the
-        generator does not support the function's shape — it then stays
-        on the decoded closures forever, at zero further cost.
-        """
-        from repro.kir.codegen import bind_compiled_function
-
-        fn = bind_compiled_function(self.machine, func)
-        self._compiled[id(func)] = fn
-        if fn is not None:
-            from repro.oemu.profiler import ENGINE_COUNTERS
-
-            ENGINE_COUNTERS.promotions += 1
-            counters = getattr(self.machine, "engine_counters", None)
-            if counters is not None:
-                counters.promotions += 1
-        return fn
-
-    def _run_tiered(self, thread: ThreadCtx) -> int:
-        """Run-to-completion inner loop for the fast tiers.
+    def _run_decoded(self, thread: ThreadCtx) -> int:
+        """Run-to-completion inner loop for the decoded engine.
 
         Equivalent to ``while self.step(thread): pass`` when no observer
         is attached: fuel/step accounting, frame switching, and
         :class:`HelperRetry` behave identically — only the per-step
         attribute re-checks and the method-call boundary are hoisted out.
-
-        Each frame entry first consults the codegen tier: a function
-        whose entry count crossed the promotion threshold (and whose
-        current pc is a block leader) runs as generated code until it
-        calls or returns; everything else takes the decoded closure
-        loop below.
         """
         codes = self._codes
         bound = self._bound
         frames = thread.frames
-        promote_after = self._promote_after
-        compiled = self._compiled
-        hot = self._hot_counts
         while not thread.finished:
             frame = frames[-1]
-            if promote_after is not None:
-                func = frame.function
-                fid = id(func)
-                fn = compiled.get(fid, _UNSEEN)
-                if fn is _UNSEEN:
-                    count = hot.get(fid, 0) + 1
-                    if count >= promote_after:
-                        hot.pop(fid, None)
-                        fn = self._promote(func)
-                    else:
-                        hot[fid] = count
-                        fn = None
-                if fn is not None and frame.index in fn.entries:
-                    fn(thread, frame)
-                    continue
             ops = frame.ops
             if ops is None:
                 func = frame.function

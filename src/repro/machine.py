@@ -76,7 +76,6 @@ class Machine:
         track_deps: bool = False,
         trace: TraceSink = NULL_SINK,
         decoded_dispatch: bool = True,
-        engine: Optional[str] = None,
     ) -> None:
         self.program = program
         self.ncpus = ncpus
@@ -103,8 +102,7 @@ class Machine:
         #: report these (the module-global ENGINE_COUNTERS would silently
         #: drop increments made in worker processes).
         self.engine_counters = EngineCounters()
-        self.interp = Interpreter(self, decoded=decoded_dispatch, engine=engine)
-        self.engine = self.interp.engine
+        self.interp = Interpreter(self, decoded=decoded_dispatch)
         self._next_thread = 0
 
     # The interpreter hoists ``trace`` and ``kcov`` into its step loop,

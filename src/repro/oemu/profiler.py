@@ -159,10 +159,6 @@ class EngineCounters:
     dirty_pages_restored: int = 0
     functions_bound: int = 0
     decode_cache_hits: int = 0
-    promotions: int = 0
-    codegen_cache_hits: int = 0
-    codegen_cache_misses: int = 0
-    codegen_functions_bound: int = 0
     prefix_snapshots: int = 0
     prefix_hits: int = 0
     calls_skipped: int = 0
@@ -174,10 +170,6 @@ class EngineCounters:
             "dirty_pages_restored": self.dirty_pages_restored,
             "functions_bound": self.functions_bound,
             "decode_cache_hits": self.decode_cache_hits,
-            "promotions": self.promotions,
-            "codegen_cache_hits": self.codegen_cache_hits,
-            "codegen_cache_misses": self.codegen_cache_misses,
-            "codegen_functions_bound": self.codegen_functions_bound,
             "prefix_snapshots": self.prefix_snapshots,
             "prefix_hits": self.prefix_hits,
             "calls_skipped": self.calls_skipped,
@@ -205,10 +197,6 @@ class EngineCounters:
         self.dirty_pages_restored = 0
         self.functions_bound = 0
         self.decode_cache_hits = 0
-        self.promotions = 0
-        self.codegen_cache_hits = 0
-        self.codegen_cache_misses = 0
-        self.codegen_functions_bound = 0
         self.prefix_snapshots = 0
         self.prefix_hits = 0
         self.calls_skipped = 0

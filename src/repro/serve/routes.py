@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 SPEC_FIELDS = (
     "any CampaignSpec field: iterations, seed, patched, jobs, "
-    "batch_size, time_budget, use_seeds, static_hints, engine, "
+    "batch_size, time_budget, use_seeds, static_hints, "
     "snapshot_reset, prefix_cache, shard_timeout, max_retries, "
     "checkpoint_every (checkpoint_dir is service-owned and rejected)"
 )

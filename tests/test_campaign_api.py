@@ -1,15 +1,22 @@
 """Tests for the unified campaign API and sharded parallel execution."""
 
+import json
+import os
+
 import pytest
 
 from repro.campaign_api import (
     CampaignResult,
     CampaignSpec,
     SEED_STRIDE,
+    resume_campaign,
     run_campaign,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.errors import ConfigError
 from repro.fuzzer.fuzzer import FuzzStats
+from repro.fuzzer.supervisor import MANIFEST_NAME
 from repro.fuzzer.triage import CrashDB
 from repro.oracles.report import CrashReport
 
@@ -49,6 +56,27 @@ class TestCampaignSpec:
             CampaignSpec(iterations=-1)
         with pytest.raises(ConfigError):
             CampaignSpec(time_budget=-0.1)
+
+
+class TestRemovedEngineKeys:
+    def test_legacy_engine_keys_ignored(self, tmp_path):
+        """Specs written before the engine knob was removed carry
+        ``engine`` and ``decoded_dispatch``: they load as the same spec,
+        and a checkpoint holding them resumes to the clean run."""
+        d = str(tmp_path / "ckpt")
+        spec = CampaignSpec(iterations=8, seed=2, batch_size=4, checkpoint_dir=d)
+        removed = {"engine": "auto", "decoded_dispatch": False}
+        assert spec_from_dict({**spec_to_dict(spec), **removed}) == spec
+
+        clean = run_campaign(spec)
+        path = os.path.join(d, MANIFEST_NAME)
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest["spec"].update(removed)
+        manifest["completed"] = manifest["completed"][:1]  # resume re-runs one
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        assert resume_campaign(d) == clean
 
 
 class TestSerialParallelParity:

@@ -1,13 +1,13 @@
-"""Differential tests: the codegen tier vs decoded vs the reference.
+"""Engine-parametrized differential tests: every engine vs the reference.
 
-PR 4's differential suite (``test_decode_differential.py``) proved the
-decoded closures observationally equal to the reference interpreter.
-This suite extends the same guarantee to the codegen tier: compiled
-functions must produce byte-identical observables — syscall return
-values, memory/shadow fingerprints, litmus outcomes, campaign stats,
-crash identity, replay verdicts, fuel/steps accounting and error
-messages — under every engine tier.  Anything less and the tier model
-is not a pure optimization.
+Each test runs once per execution engine and compares that engine's
+observables — syscall return values, memory/shadow fingerprints, litmus
+outcomes, campaign stats, crash identity, replay verdicts, fuel/steps
+accounting and error messages — against a run on the reference engine.
+The ``decoded`` arm is the fast path's equivalence proof; the
+``reference`` arm is a determinism check, since two reference runs must
+agree too.  The module keeps the name it had while a third, compiled
+tier existed, so its test IDs stay stable.
 """
 
 import os
@@ -32,17 +32,17 @@ SAMPLE_CRASH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "examples", "sample_crash.json"
 )
 
-#: The three tiers under test; ``auto`` is decoded+promotion and is
-#: covered by the engine-tier unit tests and the e2e benchmark.
-TIERS = ("reference", "decoded", "codegen")
+#: The engines under test; ``decoded`` is the default fast path.
+TIERS = ("reference", "decoded")
+
+
+def _config(tier: str, **kw) -> KernelConfig:
+    return KernelConfig(decoded_dispatch=tier == "decoded", **kw)
 
 
 @pytest.fixture(scope="module")
 def images():
-    return {
-        tier: KernelImage(KernelConfig(engine=tier, snapshot_reset=False))
-        for tier in TIERS
-    }
+    return {tier: KernelImage(_config(tier, snapshot_reset=False)) for tier in TIERS}
 
 
 def _loop_program() -> Program:
@@ -62,9 +62,9 @@ def _loop_program() -> Program:
 
 class TestSeedInputs:
     def test_syscall_observables_identical(self, images):
-        """Every seed STI, run to completion on the unobserved fast path
-        (where codegen actually engages): same retvals, memory world,
-        shadow world and clock under all three tiers."""
+        """Every seed STI, run to completion on the unobserved fast path:
+        same retvals, memory world, shadow world and clock under both
+        engines."""
         for sti in seed_inputs():
             worlds = {}
             for tier in TIERS:
@@ -81,31 +81,19 @@ class TestSeedInputs:
                     kernel.clock.now,
                 )
             assert worlds["decoded"] == worlds["reference"], sti
-            assert worlds["codegen"] == worlds["reference"], sti
-
-    def test_codegen_tier_actually_compiled(self, images):
-        """The parity above must not be vacuous: the codegen kernel
-        promotes (binds compiled functions) while running the STIs."""
-        kernel = Kernel(images["codegen"])
-        for sti in seed_inputs():
-            retvals = []
-            for call in sti.calls:
-                retvals.append(
-                    kernel.run_syscall(call.name, resolve_args(call, retvals))
-                )
-        assert kernel.engine_counters.promotions > 0
-        assert kernel.engine_counters.codegen_functions_bound > 0
 
 
 class TestLitmus:
     @pytest.mark.parametrize("test", standard_suite(), ids=lambda t: t.name)
     def test_round_robin_outcomes_identical(self, test):
-        """Each litmus program, stepped round-robin under every tier,
+        """Each litmus program, stepped round-robin under both engines,
         produces the same outcome tuple and final memory contents."""
         program, _ = instrument_program(KirProgram(list(test.functions)))
 
         def run(tier):
-            m = Machine(program, ncpus=len(test.functions), engine=tier)
+            m = Machine(
+                program, ncpus=len(test.functions), decoded_dispatch=tier == "decoded"
+            )
             threads = [
                 m.spawn(f.name, cpu=idx) for idx, f in enumerate(test.functions)
             ]
@@ -121,23 +109,22 @@ class TestLitmus:
 
         outcomes = {tier: run(tier) for tier in TIERS}
         assert outcomes["decoded"] == outcomes["reference"]
-        assert outcomes["codegen"] == outcomes["reference"]
         assert outcomes["reference"][0] in test.allowed
 
 
 class TestReplay:
     @pytest.mark.parametrize("tier", TIERS)
     def test_sample_crash_replays_under_every_tier(self, tier):
-        """The shipped artifact replays byte-for-byte whichever tier the
+        """The shipped artifact replays byte-for-byte whichever engine the
         replay image is built with (replay verdicts diff the full event
         schedule, so ``ok`` means byte-identical)."""
         artifact = CrashArtifact.load(SAMPLE_CRASH)
         verdict = replay_artifact(
             artifact,
             image=KernelImage(
-                KernelConfig(
+                _config(
+                    tier,
                     patched=frozenset(artifact.reproducer.patched),
-                    engine=tier,
                     snapshot_reset=False,
                 )
             ),
@@ -147,24 +134,23 @@ class TestReplay:
 
 class TestCampaign:
     def test_stats_and_crashes_identical(self):
-        """Same seed, same iteration count: every tier's campaign is
-        observationally equal to the reference tier's."""
+        """Same seed, same iteration count: the decoded campaign is
+        observationally equal to the reference campaign."""
         results = {}
         for tier in TIERS:
-            fuzzer = OzzFuzzer(KernelImage(KernelConfig(engine=tier)), seed=11)
+            fuzzer = OzzFuzzer(KernelImage(_config(tier)), seed=11)
             stats = fuzzer.run(30)
             results[tier] = (stats, frozenset(fuzzer.crashdb.unique_titles))
         assert results["decoded"] == results["reference"]
-        assert results["codegen"] == results["reference"]
         assert results["reference"][0].tests_run > 0
 
 
 class TestErrorParity:
-    """Exceptions escaping generated code must match the reference
+    """Exceptions escaping the fast path must match the reference
     byte-for-byte: type, message, and fuel/steps at the throw point."""
 
     def _run(self, program, entry, tier, *, args=(), fuel=10**9):
-        m = Machine(program, engine=tier)
+        m = Machine(program, decoded_dispatch=tier == "decoded")
         thread = m.interp.spawn(entry, args, fuel=fuel)
         try:
             m.interp.run(thread)

@@ -3,23 +3,16 @@
 The prefix cache's contract is the same as the boot snapshot's, one
 level up: a kernel positioned by *restoring* a prefix snapshot must be
 byte-identical to one that *executed* the prefix fresh after boot — in
-every observable, under every engine tier — so cached and uncached
+every observable, under both engines — so cached and uncached
 campaigns produce equal results while the cached one skips the repeated
 sequential prefix work.
 """
-
-from dataclasses import replace as dc_replace
 
 import os
 
 import pytest
 
-from repro.campaign_api import (
-    CampaignSpec,
-    run_campaign,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro.campaign_api import CampaignSpec, spec_from_dict, spec_to_dict
 from repro.config import KernelConfig
 from repro.errors import ExecutionLimitExceeded
 from repro.fuzzer.fuzzer import OzzFuzzer
@@ -43,12 +36,16 @@ SAMPLE_CRASH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "examples", "sample_crash.json"
 )
 
-TIERS = ("reference", "decoded", "codegen")
+TIERS = ("reference", "decoded")
+
+
+def _image(tier, **changes):
+    return KernelImage(KernelConfig(decoded_dispatch=tier == "decoded", **changes))
 
 
 @pytest.fixture(scope="module")
 def images():
-    return {tier: KernelImage(KernelConfig(engine=tier)) for tier in TIERS}
+    return {tier: _image(tier) for tier in TIERS}
 
 
 def _world(kernel):
@@ -169,20 +166,24 @@ class TestPoisonedPrefix:
 class TestCampaignEquivalence:
     @pytest.mark.parametrize("tier", TIERS)
     def test_campaign_results_equal_cache_on_off(self, tier):
-        """30-iteration campaigns, prefix cache on vs off, per engine
-        tier: the full CampaignResult compares equal (spec aside), and
-        the cached run is non-vacuous (prefix_hits > 0)."""
-        on = run_campaign(
-            CampaignSpec(iterations=30, seed=9, engine=tier, prefix_cache=True)
-        )
-        off = run_campaign(
-            CampaignSpec(iterations=30, seed=9, engine=tier, prefix_cache=False)
-        )
-        assert dc_replace(on, spec=off.spec) == off
-        assert on.engine_counters.get("prefix_hits", 0) > 0
-        assert on.engine_counters.get("calls_skipped", 0) > 0
-        assert off.engine_counters.get("prefix_hits", 0) == 0
-        assert on.stats.tests_run > 0
+        """30-iteration campaigns, prefix cache on vs off, per engine:
+        equal stats and crash titles, and the cached run is non-vacuous
+        (prefix_hits > 0)."""
+        results, kernels = {}, {}
+        for prefix_cache in (True, False):
+            image = _image(tier, prefix_cache=prefix_cache)
+            pool = KernelPool(image)
+            fuzzer = OzzFuzzer(image, seed=9, pool=pool)
+            stats = fuzzer.run(30)
+            results[prefix_cache] = (stats, frozenset(fuzzer.crashdb.unique_titles))
+            kernels[prefix_cache] = pool.acquire()
+        assert results[True] == results[False]
+        on, off = kernels[True].engine_counters, kernels[False].engine_counters
+        assert on.prefix_hits > 0
+        assert on.calls_skipped > 0
+        assert off.prefix_hits == 0
+        assert results[True][0].tests_run > 0
+        assert kernels[True].interp.unobserved_decoded is (tier == "decoded")
 
     def test_fuzzer_counters_flow_from_cache(self):
         """In-process campaign: module counters pick up hits/snapshots."""

@@ -302,6 +302,9 @@ class TestApi:
         unknown = dispatch(app, "POST", "/api/campaigns", {"iterationz": 5})
         assert unknown.status == 400
         assert "iterationz" in unknown.json()["error"]
+        removed = dispatch(app, "POST", "/api/campaigns", {"engine": "auto"})
+        assert removed.status == 400
+        assert "engine" in removed.json()["error"]
         owned = dispatch(
             app, "POST", "/api/campaigns", {"checkpoint_dir": "/tmp/x"}
         )
