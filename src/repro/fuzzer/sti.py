@@ -99,9 +99,11 @@ def profile_sti(
     """Run an STI sequentially, profiling each call.
 
     Single-threaded execution is in-order (no reordering controls are
-    installed), so a crash here would be a non-concurrency bug — the
-    seeded kernel never produces one, but the fuzzer checks anyway, as
-    OZZ's first stage does with KASAN/lockdep.
+    installed), so a crash here is a non-concurrency bug, which the
+    fuzzer records as OZZ's first stage does with KASAN/lockdep.  The
+    seeded kernel has one: after a second ``tls_init`` the socket's
+    saved proto is the TLS table itself, so ``setsockopt`` recurses in
+    ``tls_setsockopt`` until it hits the stack guard page.
 
     ``kernel`` may supply a pooled, snapshot-reset kernel (must be in
     boot state with a profiler already attached); otherwise a fresh one

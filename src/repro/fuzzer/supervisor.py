@@ -123,6 +123,7 @@ _DRAIN_GRACE = 1.0      # wait for a dead worker's final messages
 _HANG_SLEEP = 3600.0    # an injected hang sleeps until the supervisor kills it
 _SLOW_SLEEP = 1.0       # an injected slow batch stalls this long, then runs
 _FAULT_EXIT = 17        # exit code of an injected worker death
+_ORPHAN_POLL = 1.0      # idle worker's task-queue timeout between parent checks
 
 #: Image pre-built by the supervisor parent so ``fork`` workers inherit
 #: it instead of each paying the build; keyed by the config-relevant
@@ -300,12 +301,24 @@ def _pool_worker_main(wid: int, spec: CampaignSpec, taskq, msgq) -> None:
     every batch this worker claims), and one booted kernel is held in a
     :class:`KernelPool` across batches; each batch's fuzzer resets it to
     the boot snapshot per test, which is equivalent to a fresh boot.
+
+    A SIGKILLed supervisor sends no poison pill, so an idle worker polls
+    its queue and exits once its parent pid changes (it was reparented).
     """
+    parent = os.getppid()
     try:
         image = _inherited_image(spec)
         _, pool = campaign_pool(spec, image=image)
         while True:
-            task = taskq.get()
+            try:
+                task = taskq.get(timeout=_ORPHAN_POLL)
+            except _queue.Empty:
+                if os.getppid() != parent:
+                    # Nobody reads msgq any more: exit without waiting
+                    # for its buffered messages to reach the pipe.
+                    msgq.cancel_join_thread()
+                    return
+                continue
             if task is None:
                 return
             batch, attempt, quarantined, faults = task

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ExecutionLimitExceeded, KirError
+from repro.errors import ExecutionLimitExceeded, KernelCrash, KirError
 from repro.kir.function import Function, Program
 from repro.kir.insn import (
     AtomicOp,
@@ -59,11 +59,23 @@ from repro.kir.insn import (
     eval_binop,
 )
 from repro.mem.memory import MemoryFault
+from repro.oracles.report import CrashReport, stack_overflow_title
 from repro.trace.events import Step
 from repro.trace.sink import NULL_SINK
 
-#: Default per-syscall instruction budget.
+#: Default per-syscall instruction budget.  Bounds loops and spins;
+#: recursion is bounded by the kernel stack (:data:`MAX_CALL_DEPTH`).
 DEFAULT_FUEL = 200_000
+
+#: x86-64 kernel stack size (``THREAD_SIZE`` without KASAN: 16 KiB).
+THREAD_SIZE = 16 * 1024
+#: Stack bytes one KIR frame stands for: return address, frame pointer
+#: and the six callee-saved registers.
+FRAME_BYTES = 8 * 8
+#: Frames a simulated kernel thread can hold; the next call hits the
+#: stack guard page.
+MAX_CALL_DEPTH = THREAD_SIZE // FRAME_BYTES
+
 
 class HelperRetry(Exception):
     """Raised by a helper to re-execute the same instruction next step.
@@ -115,9 +127,32 @@ class ThreadCtx:
         return frame.function.insns[frame.index]
 
     def call(self, function: Function, args: Tuple[int, ...], ret_dst: Optional[Reg] = None) -> None:
+        """Push a frame for ``function``: every frame push goes through here.
+
+        A push past :data:`MAX_CALL_DEPTH` raises :class:`KernelCrash`,
+        the way Linux faults on the stack guard page.  Both engines
+        advance the caller's index past the call before pushing, so the
+        call instruction is ``insns[index - 1]``.
+        """
         if len(args) != len(function.params):
             raise KirError(
                 f"{function.name} expects {len(function.params)} args, got {len(args)}"
+            )
+        if len(self.frames) >= MAX_CALL_DEPTH:
+            caller = self.frames[-1]
+            name = caller.function.name
+            raise KernelCrash(
+                CrashReport(
+                    title=stack_overflow_title(name),
+                    oracle="fault",
+                    function=name,
+                    inst_addr=caller.function.insns[caller.index - 1].addr,
+                    detail=(
+                        f"call to {function.name} at depth {MAX_CALL_DEPTH} overflows "
+                        f"the {THREAD_SIZE}-byte kernel stack "
+                        f"({FRAME_BYTES} bytes per frame)"
+                    ),
+                )
             )
         frame = Frame(function=function, regs=dict(zip(function.params, args)), ret_dst=ret_dst)
         self.frames.append(frame)

@@ -12,6 +12,7 @@ from repro.oracles.report import (
     kasan_title,
     lockdep_title,
     null_deref_title,
+    stack_overflow_title,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "kasan_title",
     "lockdep_title",
     "null_deref_title",
+    "stack_overflow_title",
 ]

@@ -100,6 +100,11 @@ def gpf_title(function: str) -> str:
     return f"general protection fault in {function}"
 
 
+def stack_overflow_title(function: str) -> str:
+    """Crash title for a call that overran the kernel stack."""
+    return f"BUG: stack guard page was hit in {function}"
+
+
 def kasan_title(kind: str, is_write: bool, function: str) -> str:
     rw = "Write" if is_write else "Read"
     return f"KASAN: {kind} {rw} in {function}"

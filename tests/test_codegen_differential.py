@@ -15,8 +15,9 @@ import os
 import pytest
 
 from repro.config import KernelConfig
-from repro.errors import ExecutionLimitExceeded, KirError
+from repro.errors import ExecutionLimitExceeded, KernelCrash, KirError
 from repro.fuzzer.fuzzer import OzzFuzzer
+from repro.fuzzer.kcov import KCov
 from repro.fuzzer.sti import resolve_args
 from repro.fuzzer.templates import seed_inputs
 from repro.kernel.kernel import Kernel, KernelImage
@@ -149,14 +150,17 @@ class TestErrorParity:
     """Exceptions escaping the fast path must match the reference
     byte-for-byte: type, message, and fuel/steps at the throw point."""
 
-    def _run(self, program, entry, tier, *, args=(), fuel=10**9):
+    def _run(self, program, entry, tier, *, args=(), fuel=10**9, kcov=None):
         m = Machine(program, decoded_dispatch=tier == "decoded")
+        m.kcov = kcov
         thread = m.interp.spawn(entry, args, fuel=fuel)
         try:
             m.interp.run(thread)
             outcome = ("ok", thread.retval)
         except (KirError, ExecutionLimitExceeded) as exc:
             outcome = (type(exc).__name__, str(exc))
+        except KernelCrash as crash:
+            outcome = (type(crash).__name__, crash.report.title, crash.report.inst_addr)
         return outcome, thread.steps, thread.fuel
 
     @pytest.mark.parametrize("tier", TIERS)
@@ -189,3 +193,32 @@ class TestErrorParity:
         assert got == ref
         assert got[0][0] == "KirError"
         assert "unknown helper" in got[0][1]
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_stack_overflow_identical(self, tier):
+        """Unbounded direct and indirect recursion hit the stack guard
+        page at the same call, step and fuel under both engines, on the
+        run-to-completion loop and (with kcov attached) on step().  The
+        fuel budget is far above the guard page's few hundred steps."""
+        b = Builder("rec")
+        b.ret(b.call("rec"))
+        direct = (Program([b.function()]), "rec", ())
+        b = Builder("irec", params=["fp"])
+        b.ret(b.icall("fp", "fp"))
+        program = Program([b.function()])
+        indirect = (program, "irec", (program.func_addr("irec"),))
+        for program, entry, args in (direct, indirect):
+            ref = self._run(program, entry, "reference", args=args, fuel=10_000)
+            got = self._run(program, entry, tier, args=args, fuel=10_000)
+            assert got == ref
+            assert got[0][:2] == (
+                "KernelCrash",
+                f"BUG: stack guard page was hit in {entry}",
+            )
+            ref_kcov, kcov = KCov(), KCov()
+            ref_observed = self._run(
+                program, entry, "reference", args=args, fuel=10_000, kcov=ref_kcov
+            )
+            observed = self._run(program, entry, tier, args=args, fuel=10_000, kcov=kcov)
+            assert observed == ref_observed == ref
+            assert kcov.coverage_of(0) == ref_kcov.coverage_of(0)

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.campaign_api import CampaignSpec, run_campaign
 from repro.config import KernelConfig
-from repro.fuzzer import OzzFuzzer
+from repro.fuzzer import FuzzStats, OzzFuzzer
+from repro.fuzzer.sti import STI, Call, ResourceRef, profile_sti
 from repro.kernel import bugs
 from repro.kernel.kernel import KernelImage
+
+GUARD_PAGE_TITLE = "BUG: stack guard page was hit in tls_setsockopt"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,47 @@ class TestSeedCampaign:
         b.run(6)
         assert a.crashdb.unique_titles == b.crashdb.unique_titles
         assert a.stats.mtis_run == b.stats.mtis_run
+
+
+class TestRunawayRecursion:
+    """A second ``tls_init`` makes ``tls_setsockopt`` dispatch to itself;
+    the recursion ends at the stack guard page, as it would in Linux."""
+
+    def test_profile_ends_at_guard_page(self, buggy_image):
+        ret0 = ResourceRef(0)
+        sti = STI(
+            (
+                Call("socket"),
+                Call("tls_init", (ret0,)),
+                Call("tls_init", (ret0,)),
+                Call("setsockopt", (ret0,)),
+            )
+        )
+        result = profile_sti(buggy_image, sti)
+        assert result.crash.title == GUARD_PAGE_TITLE
+        assert result.crash.oracle == "fault"
+        assert result.crash.function == "tls_setsockopt"
+        assert len(result.retvals) == 3
+
+    def test_table3_spec_outcome_unchanged(self):
+        """The Table 3 spec (seed 1 holds the runaway) keeps its stats,
+        bugs and titles; only the runaway's title is the guard page's."""
+        result = run_campaign(CampaignSpec(iterations=40, seed=1))
+        assert result.stats == FuzzStats(
+            stis_run=40,
+            mtis_run=104,
+            hints_computed=104,
+            corpus_size=29,
+            coverage=495,
+            crashes=47,
+            hangs=3,
+        )
+        assert len(result.found_bug_ids) == 20
+        assert len(result.found_table3) == 11
+        titles = result.crashdb.unique_titles
+        assert len(titles) == 22
+        assert titles.count(GUARD_PAGE_TITLE) == 1
+        assert not [t for t in titles if t.startswith("HANG: setsockopt")]
 
 
 class TestPatchedCampaign:

@@ -161,6 +161,30 @@ class TestInterpreterBasics:
         with pytest.raises(ExecutionLimitExceeded):
             m.interp.run(thread)
 
+    def test_stack_guard_page(self):
+        """Recursion ends at the kernel stack's guard page, long before
+        the fuel budget: ``n`` recursive calls need ``n + 1`` frames."""
+        from repro.errors import KernelCrash
+        from repro.kir.interp import MAX_CALL_DEPTH
+
+        b = Builder("rec", params=["n"])
+        base = b.label()
+        b.beq("n", 0, base)
+        m1 = b.sub("n", 1)
+        r = b.call("rec", m1)
+        b.ret(b.add(r, 1))
+        b.bind(base)
+        b.ret(0)
+        m = build_machine(b.function())
+        assert m.run("rec", (MAX_CALL_DEPTH - 1,)) == MAX_CALL_DEPTH - 1
+        with pytest.raises(KernelCrash) as info:
+            m.run("rec", (MAX_CALL_DEPTH,))
+        report = info.value.report
+        assert report.title == "BUG: stack guard page was hit in rec"
+        assert report.oracle == "fault"
+        assert report.function == "rec"
+        assert report.inst_addr == m.program.function("rec").insns[2].addr
+
 
 class TestLinking:
     def test_addresses_unique_and_resolvable(self):

@@ -4,11 +4,18 @@ Complements ``test_supervisor.py`` (fault tolerance under the legacy
 one-batch-per-job plan) with the worker-pool surface this PR added:
 explicit batch plans shared across job counts, work-stealing under slow
 and dead workers, the ``WorkerPolicy`` sub-config, checkpoint schema v2
-with the v1 reader, and the ``run_sharded`` deprecation shim.
+with the v1 reader, the ``run_sharded`` deprecation shim, and workers
+that exit once their supervisor is gone.
 """
 
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import replace
 
 import pytest
@@ -274,3 +281,68 @@ class TestDeprecationShim:
         # The shim returns raw per-batch results; merged they are the
         # same campaign run_campaign produces.
         assert merge_shards(spec, old, seconds=0.0) == run_campaign(spec)
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie.  An orphan's new
+    parent (PID 1 in a container) may never reap it, so a zombie counts
+    as gone."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            for line in fh:
+                if line.startswith("State:"):
+                    return line.split()[1] != "Z"
+    except FileNotFoundError:
+        pass
+    return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+class TestOrphanedWorkers:
+    def test_workers_exit_after_supervisor_sigkill(self):
+        """A SIGKILLed supervisor sends no poison pill; its workers must
+        notice they were reparented and exit instead of waiting on the
+        task queue forever."""
+        script = textwrap.dedent(
+            """
+            import multiprocessing, threading, time
+            from repro.campaign_api import CampaignSpec, run_campaign
+
+            spec = CampaignSpec(iterations=100_000, jobs=2, batch_size=20)
+            threading.Thread(target=run_campaign, args=(spec,), daemon=True).start()
+            while len(multiprocessing.active_children()) < 2:
+                time.sleep(0.05)
+            print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+            time.sleep(600)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            text=True,
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120)
+            assert ready, "supervisor never started its workers"
+            pids = [int(p) for p in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(_running(p) for p in pids) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [p for p in pids if _running(p)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
