@@ -31,7 +31,8 @@ import json
 import os
 import time
 
-from repro.analysis import analyze_races, static_reordering_candidates
+from repro.analysis.barriers import static_reordering_candidates
+from repro.analysis.races import analyze_races
 from repro.config import KernelConfig
 from repro.kernel import bugs
 from repro.kernel.kernel import KernelImage

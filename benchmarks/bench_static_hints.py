@@ -41,7 +41,7 @@ import pytest
 
 from repro.bench.tables import render_table
 from repro.campaign_api import CampaignSpec, run_campaign
-from repro.fuzzer.parallel import run_shard
+from repro.fuzzer.parallel import run_batch
 
 ITERATIONS = 40
 SEED = 1
@@ -160,9 +160,10 @@ def _shard_hits(result):
 @pytest.fixture(scope="module")
 def rank_ablation_results():
     spec = CampaignSpec(iterations=ITERATIONS, seed=SEED, static_hints=True)
-    lockset = run_shard(spec, 0)
-    tier = run_shard(
-        spec, 0, on_fuzzer=lambda f: setattr(f, "static_rank", "tier")
+    batch = spec.batches()[0]
+    lockset = run_batch(spec, batch)
+    tier = run_batch(
+        spec, batch, on_fuzzer=lambda f: setattr(f, "static_rank", "tier")
     )
     return lockset, tier
 
@@ -202,11 +203,8 @@ def test_lockset_rank_never_later_than_tier(rank_ablation_results):
 
 @pytest.fixture(scope="module")
 def weighted_pairs():
-    from repro.analysis import (
-        analyze_races,
-        candidate_weights,
-        static_reordering_candidates,
-    )
+    from repro.analysis.barriers import static_reordering_candidates
+    from repro.analysis.races import analyze_races, candidate_weights
     from repro.config import KernelConfig
     from repro.kernel.kernel import KernelImage
 

@@ -24,61 +24,7 @@ derives the same class of facts from the program text alone:
 Built on :mod:`repro.kir.cfg` and :mod:`repro.kir.dataflow`.  This
 package may import from ``repro.kir`` and ``repro.oemu`` but never from
 ``repro.kernel`` or the fuzzer, so every layer above can use it freely.
+Import each name from the submodule that defines it: the package itself
+imports nothing, so loading :mod:`repro.analysis.reaching` (as every
+kernel image build does) does not load the rest of KIRA.
 """
-
-from repro.analysis.barriers import (
-    StaticCandidate,
-    candidate_addr_sets,
-    candidate_pairs,
-    static_reordering_candidates,
-)
-from repro.analysis.callgraph import CallGraph, CallSite, build_callgraph
-from repro.analysis.lint import Finding, LintReport, lint_program, render_report
-from repro.analysis.lockset import LocksetAnalysis, analyze_locksets
-from repro.analysis.locks import LockFinding, check_lock_pairing
-from repro.analysis.pointsto import MemLoc, PointsTo, points_to
-from repro.analysis.races import (
-    RaceAccess,
-    RaceFinding,
-    RaceReport,
-    analyze_races,
-    candidate_weights,
-)
-from repro.analysis.reaching import reaching_definitions, undefined_reads
-from repro.analysis.sarif import to_sarif
-from repro.analysis.summaries import (
-    AccessSite,
-    FunctionSummary,
-    summarize_program,
-)
-
-__all__ = [
-    "AccessSite",
-    "CallGraph",
-    "CallSite",
-    "Finding",
-    "FunctionSummary",
-    "LintReport",
-    "LockFinding",
-    "LocksetAnalysis",
-    "MemLoc",
-    "PointsTo",
-    "RaceAccess",
-    "RaceFinding",
-    "RaceReport",
-    "StaticCandidate",
-    "analyze_locksets",
-    "analyze_races",
-    "build_callgraph",
-    "candidate_addr_sets",
-    "candidate_pairs",
-    "candidate_weights",
-    "check_lock_pairing",
-    "lint_program",
-    "points_to",
-    "reaching_definitions",
-    "render_report",
-    "static_reordering_candidates",
-    "summarize_program",
-    "to_sarif",
-]

@@ -118,7 +118,10 @@ def reproduce_bug(
     preferred = [h for h in hints if h.barrier_type == wanted]
     other = [h for h in hints if h.barrier_type != wanted]
     if static_hints:
-        from repro.analysis import candidate_pairs, static_reordering_candidates
+        from repro.analysis.barriers import (
+            candidate_pairs,
+            static_reordering_candidates,
+        )
 
         pairs_by_kind = candidate_pairs(
             static_reordering_candidates(image.plain_program)

@@ -53,7 +53,6 @@ from repro.fuzzer.triage import CrashDB
 SEED_STRIDE = 10_000
 
 #: Result JSON schema: v2 nests the worker knobs under ``spec.policy``.
-#: ``from_json`` still reads v1 payloads (flat keys only).
 JSON_FORMAT_VERSION = 2
 
 
@@ -213,11 +212,12 @@ class CampaignSpec:
     ``max_retries``  restarts a failing batch is allowed before it is
                      marked permanently failed (its surviving siblings
                      still merge).
-    ``checkpoint_dir`` directory for periodic JSON checkpoints of merged
-                     campaign state; ``repro fuzz --resume DIR``
+    ``checkpoint_dir`` directory for JSON checkpoints (each finished
+                     batch, plus a manifest); ``repro fuzz --resume DIR``
                      continues from it (None = no checkpointing).
     ``checkpoint_every`` iterations between a batch's mid-run partial
-                     checkpoints (used for SIGINT partial merges).
+                     snapshots, kept in memory for the partial merge of
+                     an interrupted campaign (never written to disk).
 
     ``worker_policy`` (init-only) sets ``jobs`` / ``batch_size`` /
     ``shard_timeout`` / ``max_retries`` in one go from a
@@ -533,7 +533,7 @@ class CampaignResult:
     @classmethod
     def from_json(cls, text: str) -> "CampaignResult":
         payload = json.loads(text)
-        if payload.get("version") not in (1, JSON_FORMAT_VERSION):
+        if payload.get("version") != JSON_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported campaign result version {payload.get('version')!r}"
             )

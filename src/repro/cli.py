@@ -250,7 +250,7 @@ def cmd_ofence(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis import lint_program, render_report
+    from repro.analysis.lint import lint_program, render_report
     from repro.config import KernelConfig
     from repro.kernel.kernel import KernelImage
 
@@ -278,7 +278,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             json.dump(report.to_json_dict(), fh, indent=2)
         print(f"wrote {args.json}")
     if args.format == "sarif":
-        from repro.analysis import to_sarif
+        from repro.analysis.sarif import to_sarif
 
         print(json.dumps(to_sarif(report), indent=2))
     elif args.format == "json":
@@ -386,12 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="periodically checkpoint merged campaign state to DIR so an "
-             "interrupted run can be continued with --resume",
+        help="checkpoint each finished batch and the campaign manifest to "
+             "DIR so an interrupted run can be continued with --resume",
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=10, metavar="N",
-        help="iterations between partial-state checkpoints per shard",
+        help="iterations between a batch's in-memory partial snapshots, "
+             "merged if the campaign is interrupted (not written to disk)",
     )
     p.add_argument(
         "--resume", metavar="DIR",

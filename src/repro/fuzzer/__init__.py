@@ -12,8 +12,6 @@ from repro.fuzzer.parallel import (
     campaign_pool,
     merge_shards,
     run_batch,
-    run_shard,
-    run_sharded,
 )
 from repro.fuzzer.reproducer import Reproducer
 from repro.fuzzer.sti import STI, Call, ResourceRef, STIResult, profile_sti
@@ -55,8 +53,6 @@ __all__ = [
     "profile_sti",
     "run_batch",
     "run_mti",
-    "run_shard",
-    "run_sharded",
     "seed_inputs",
     "templates",
 ]

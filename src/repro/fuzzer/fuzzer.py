@@ -121,13 +121,12 @@ class OzzFuzzer:
         self._static_all: frozenset = frozenset()
         self._addr_weight: Dict[int, int] = {}
         if static_hints:
-            from repro.analysis import (
-                analyze_races,
+            from repro.analysis.barriers import (
                 candidate_addr_sets,
                 candidate_pairs,
-                candidate_weights,
                 static_reordering_candidates,
             )
+            from repro.analysis.races import analyze_races, candidate_weights
 
             candidates = static_reordering_candidates(image.plain_program)
             self._static_pairs = dict(candidate_pairs(candidates))

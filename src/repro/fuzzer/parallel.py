@@ -31,9 +31,8 @@ in checkpoints.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.config import KernelConfig
 from repro.fuzzer.fuzzer import FuzzStats, OzzFuzzer
@@ -93,8 +92,7 @@ class ShardResult:
     def to_json_dict(self) -> dict:
         """JSON-safe payload for the campaign checkpoint directory.
 
-        Coverage is stored as the CoverageMap hex wire form (schema v2);
-        :meth:`from_json_dict` also reads the v1 sorted-address list.
+        Coverage is stored as the CoverageMap hex wire form.
         """
         from dataclasses import asdict
 
@@ -111,18 +109,13 @@ class ShardResult:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ShardResult":
-        raw_cov = payload["coverage"]
-        if isinstance(raw_cov, str):
-            coverage = CoverageMap.from_hex(raw_cov)
-        else:  # checkpoint schema v1: a sorted address list
-            coverage = CoverageMap.from_addrs(raw_cov)
         return cls(
             shard=payload["shard"],
             seed=payload["seed"],
             iterations=payload["iterations"],
             stats=FuzzStats(**payload["stats"]),
             crashdb=CrashDB.from_json_dict(payload["crashdb"]),
-            coverage=coverage,
+            coverage=CoverageMap.from_hex(payload["coverage"]),
             seconds=payload["seconds"],
             engine_counters=dict(payload.get("engine_counters", {})),
         )
@@ -147,8 +140,8 @@ def run_batch(
     ``progress`` is forwarded to :meth:`OzzFuzzer.run` — the
     supervisor's heartbeat / fault-injection / quarantine seam;
     ``on_fuzzer`` hands the constructed fuzzer to the caller before the
-    run starts, so a pool worker can snapshot mid-run state for partial
-    checkpoints.
+    run starts, so a pool worker can snapshot mid-run state for the
+    partial merge of an interrupted campaign.
     """
     if image is None:
         image, pool = campaign_pool(spec)
@@ -184,46 +177,6 @@ def run_batch(
         # this is what survives the trip back over the result queue.
         engine_counters=ENGINE_COUNTERS.diff(counter_base),
     )
-
-
-def run_shard(
-    spec: "CampaignSpec",
-    shard: int,
-    *,
-    progress: Optional[Callable[[int, FuzzStats], Optional[bool]]] = None,
-    on_fuzzer: Optional[Callable[[OzzFuzzer], None]] = None,
-) -> ShardResult:
-    """Run batch ``shard`` of the spec's plan with a private kernel.
-
-    The single-batch convenience wrapper around :func:`run_batch` —
-    with the default ``batch_size=None`` plan this is exactly the old
-    static shard ``k`` of ``jobs``, which is what keeps historical
-    per-shard results (and the supervisor's determinism tests)
-    bit-identical.
-    """
-    return run_batch(
-        spec, spec.batches()[shard], progress=progress, on_fuzzer=on_fuzzer
-    )
-
-
-def run_sharded(spec: "CampaignSpec") -> List[ShardResult]:
-    """Deprecated: use :func:`repro.campaign_api.run_campaign`.
-
-    The pre-pool entrypoint, kept for one release as a shim.  It returns
-    the raw per-batch results; failed batches are omitted rather than
-    raising (use ``run_campaign`` to see the failure telemetry).
-    """
-    warnings.warn(
-        "run_sharded is deprecated; use repro.campaign_api.run_campaign",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not spec.supervised:
-        image, pool = campaign_pool(spec)
-        return [run_batch(spec, b, image=image, pool=pool) for b in spec.batches()]
-    from repro.fuzzer.supervisor import run_supervised_shards
-
-    return run_supervised_shards(spec).shards
 
 
 def merge_shards(

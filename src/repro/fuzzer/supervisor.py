@@ -27,8 +27,8 @@ provides both halves:
   reported) instead of burning the retry budget; a batch that exhausts
   ``max_retries`` is abandoned and the survivors **merge** — a worker
   failure is telemetry, never an exception that discards finished work.
-* **Checkpoint/resume.**  Merged campaign state is periodically written
-  to ``checkpoint_dir`` as JSON, so ``repro fuzz --resume DIR`` — and a
+* **Checkpoint/resume.**  Finished batches are written to
+  ``checkpoint_dir`` as JSON, so ``repro fuzz --resume DIR`` — and a
   ``SIGINT`` that lands mid-campaign — continue instead of restarting.
 
 Coverage crosses the wire as :class:`~repro.fuzzer.kcov.CoverageMap`
@@ -40,20 +40,18 @@ queue as pickled Python sets.
 Checkpoint layout (all JSON, schema :data:`CHECKPOINT_VERSION`)::
 
     DIR/campaign.json     manifest: spec (with nested WorkerPolicy), the
-                          batch plan, the claim log, completed batches,
-                          telemetry
+                          claim log, completed batches, telemetry
     DIR/shard-000.json    one completed batch result (stats, crashdb,
                           coverage bitmap hex)
-    DIR/partial-000.json  latest mid-run snapshot of an unfinished batch
 
-Schema v1 checkpoints (flat spec keys, coverage as address lists) load
-through the same reader.  Resume is **batch-granular**: completed
+Each ``shard-NNN.json`` is written once, when its batch finishes; only
+the manifest is rewritten.  Resume is **batch-granular**: completed
 batches load from disk; an unfinished batch re-runs from iteration 0
 with its re-derived seed, which reproduces exactly the prefix it had
 already executed — so a kill/resume cycle finds the same crash set as
 an uninterrupted run without having to serialize RNG or corpus state
-mid-stream.  Partials exist for *reporting* (the SIGINT partial merge),
-not for skipping work.
+mid-stream.  Mid-run partial snapshots stay in memory: they serve only
+the partial merge of an interrupted campaign and are never written.
 
 Fault injection (tests, the CI resilience job) goes through
 :class:`FaultPlan` or the ``REPRO_INJECT_FAULT`` environment variable
@@ -110,7 +108,7 @@ from repro.trace import (
 POISON_THRESHOLD = 2
 
 #: Version of the on-disk checkpoint schema (v2: nested WorkerPolicy,
-#: batch plan + claim log in the manifest, coverage as bitmap hex).
+#: claim log in the manifest, coverage as bitmap hex).
 CHECKPOINT_VERSION = 2
 CHECKPOINT_KIND = "ozz-campaign-checkpoint"
 MANIFEST_NAME = "campaign.json"
@@ -343,6 +341,7 @@ class _BatchState:
         self.index = batch.index
         self.seed = batch.seed
         self.result: Optional[ShardResult] = None
+        self.saved = False  # result already written to the checkpoint
         self.partial: Optional[ShardResult] = None
         self.attempt = 0
         self.assigned_to: Optional[int] = None  # worker id, None = pending
@@ -358,11 +357,6 @@ class _BatchState:
     @property
     def finished(self) -> bool:
         return self.result is not None or self.failure is not None
-
-
-# Historical name (pre-pool, one static shard per worker); the batch is
-# the unit of supervision now but the tracked state is the same shape.
-_ShardState = _BatchState
 
 
 class CampaignController:
@@ -439,18 +433,6 @@ class _Worker:
 
 
 @dataclass
-class SupervisorReport:
-    """Raw supervisor output, before the campaign-level merge."""
-
-    shards: List[ShardResult]
-    retries: Tuple[RetryEvent, ...]
-    quarantined: Tuple[QuarantinedInput, ...]
-    failed_shards: Tuple[ShardFailure, ...]
-    interrupted: bool
-    seconds: float
-
-
-@dataclass
 class CheckpointState:
     """A loaded checkpoint directory (see :func:`load_checkpoint`)."""
 
@@ -468,9 +450,8 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _shard_file(dirpath: str, shard: int, partial: bool = False) -> str:
-    prefix = "partial" if partial else "shard"
-    return os.path.join(dirpath, f"{prefix}-{shard:03d}.json")
+def _shard_file(dirpath: str, shard: int) -> str:
+    return os.path.join(dirpath, f"shard-{shard:03d}.json")
 
 
 def write_checkpoint(
@@ -483,49 +464,33 @@ def write_checkpoint(
     sink: TraceSink = NULL_SINK,
     assignments: Sequence[dict] = (),
 ) -> None:
-    """Persist merged campaign state; every write is atomic (tmp+rename).
+    """Persist campaign state; every write is atomic (tmp+rename).
 
-    The v2 manifest records the full batch plan and the claim log
-    (which worker ran which batch on which attempt) so a checkpoint is
-    auditable evidence that results never depended on claim order.
+    A finished batch's file is written the first time it is seen here
+    and never again; the manifest is rewritten on every call.  The v2
+    manifest records the claim log (which worker ran which batch on
+    which attempt) so a checkpoint is auditable evidence that results
+    never depended on claim order.
     """
     os.makedirs(dirpath, exist_ok=True)
-    completed, partials = [], []
+    completed = []
     for shard in sorted(states):
         st = states[shard]
-        if st.result is not None:
+        if st.result is None:
+            continue
+        if not st.saved:
             _atomic_write(
                 _shard_file(dirpath, shard),
                 json.dumps(st.result.to_json_dict(), indent=2),
             )
-            completed.append(shard)
-            # A completed batch supersedes its mid-run snapshots.
-            try:
-                os.remove(_shard_file(dirpath, shard, partial=True))
-            except OSError:
-                pass
-        elif st.partial is not None:
-            _atomic_write(
-                _shard_file(dirpath, shard, partial=True),
-                json.dumps(st.partial.to_json_dict(), indent=2),
-            )
-            partials.append(shard)
+            st.saved = True
+        completed.append(shard)
     manifest = {
         "version": CHECKPOINT_VERSION,
         "kind": CHECKPOINT_KIND,
         "spec": spec_to_dict(spec),
-        "plan": [
-            {
-                "batch": b.index,
-                "seed": b.seed,
-                "iterations": b.iterations,
-                "slices": b.nslices,
-            }
-            for b in spec.batches()
-        ],
         "assignments": list(assignments),
         "completed": completed,
-        "partials": partials,
         "quarantined": [
             {"shard": q.shard, "iteration": q.iteration, "deaths": q.deaths}
             for q in quarantined
@@ -552,54 +517,53 @@ def write_checkpoint(
     }
     _atomic_write(os.path.join(dirpath, MANIFEST_NAME), json.dumps(manifest, indent=2))
     if sink.active:
-        sink.emit(
-            CheckpointWritten(
-                completed_shards=len(completed), partial_shards=len(partials)
-            )
-        )
+        sink.emit(CheckpointWritten(completed_shards=len(completed)))
 
 
 def load_checkpoint(dirpath: str) -> CheckpointState:
     """Load a checkpoint directory written by a pooled campaign.
 
-    Reads both schema v2 and v1 directories — the spec reader falls back
-    to flat worker-knob keys and batch results accept v1 address-list
-    coverage.  The returned spec has ``checkpoint_dir`` pointed back at
-    ``dirpath`` so the resumed campaign keeps checkpointing in place
-    (directories move; the stored path is advisory).
+    Any damage — an undecodable file, a missing or mistyped key, a
+    listed batch file that is missing, a version other than
+    :data:`CHECKPOINT_VERSION` — raises one :class:`ConfigError` that
+    names the file.  The returned spec has ``checkpoint_dir`` pointed
+    back at ``dirpath`` so the resumed campaign keeps checkpointing in
+    place (directories move; the stored path is advisory).
     """
-    manifest_path = os.path.join(dirpath, MANIFEST_NAME)
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
+    path = os.path.join(dirpath, MANIFEST_NAME)
+    if not os.path.exists(path):
         raise ConfigError(f"no campaign checkpoint at {dirpath!r} "
                           f"(missing {MANIFEST_NAME})")
-    if manifest.get("kind") != CHECKPOINT_KIND:
-        raise ConfigError(f"{manifest_path} is not a campaign checkpoint")
-    if manifest.get("version") not in (1, CHECKPOINT_VERSION):
-        raise ConfigError(
-            f"unsupported checkpoint version {manifest.get('version')!r}"
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        if not isinstance(manifest, dict) or manifest.get("kind") != CHECKPOINT_KIND:
+            raise ConfigError("not a campaign checkpoint")
+        if manifest.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"unsupported checkpoint version {manifest.get('version')!r}"
+            )
+        state = CheckpointState(
+            spec=spec_from_dict(dict(manifest["spec"], checkpoint_dir=dirpath)),
+            completed={},
+            quarantined=tuple(QuarantinedInput(**q) for q in manifest["quarantined"]),
+            retries=tuple(RetryEvent(**r) for r in manifest["retries"]),
+            interrupted=manifest["interrupted"],
         )
-    spec_payload = dict(manifest["spec"])
-    spec_payload["checkpoint_dir"] = dirpath
-    spec = spec_from_dict(spec_payload)
-    completed: Dict[int, ShardResult] = {}
-    for shard in manifest.get("completed", ()):
-        with open(_shard_file(dirpath, shard)) as fh:
-            completed[shard] = ShardResult.from_json_dict(json.load(fh))
-    return CheckpointState(
-        spec=spec,
-        completed=completed,
-        quarantined=tuple(
-            QuarantinedInput(**q) for q in manifest.get("quarantined", ())
-        ),
-        retries=tuple(RetryEvent(**r) for r in manifest.get("retries", ())),
-        interrupted=manifest.get("interrupted", False),
-    )
+        for shard in manifest["completed"]:
+            path = _shard_file(dirpath, shard)
+            with open(path) as fh:
+                state.completed[shard] = ShardResult.from_json_dict(json.load(fh))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    return state
 
 
-def run_supervised_shards(
+def run_supervised(
     spec: CampaignSpec,
     *,
     faults: Sequence[FaultPlan] = (),
@@ -610,8 +574,8 @@ def run_supervised_shards(
     poison_threshold: int = POISON_THRESHOLD,
     stop_when: Optional[Callable[[Dict[int, "_BatchState"]], bool]] = None,
     controller: Optional[CampaignController] = None,
-) -> SupervisorReport:
-    """Run a campaign's batch plan on the worker pool; raw-report entry.
+) -> CampaignResult:
+    """Run a campaign's batch plan on the worker pool and merge it.
 
     ``faults`` injects worker misbehaviour (tests / CI); entries from
     the ``REPRO_INJECT_FAULT`` environment variable are appended.
@@ -640,6 +604,7 @@ def run_supervised_shards(
         for shard, result in resume_state.completed.items():
             if shard in states:
                 states[shard].result = result
+                states[shard].saved = True  # its file is already on disk
         for q in resume_state.quarantined:
             if q.shard in states:
                 states[q.shard].quarantined.add(q.iteration)
@@ -785,7 +750,6 @@ def run_supervised_shards(
             st.cov_acc.merge(CoverageMap.from_bytes(delta))
             result.coverage = st.cov_acc.copy()
             st.partial = result
-            _checkpoint()
         elif kind == "done":
             result, delta = pickle.loads(payload)
             st.cov_acc.merge(CoverageMap.from_bytes(delta))
@@ -946,51 +910,16 @@ def run_supervised_shards(
         ]
     else:
         shards = [st.result for st in states.values() if st.result is not None]
-    shards.sort(key=lambda s: s.shard)
-    return SupervisorReport(
-        shards=shards,
-        retries=tuple(retries),
-        quarantined=tuple(quarantined_log),
-        failed_shards=tuple(
+    return merge_shards(
+        spec,
+        shards,
+        seconds,
+        retries=retries,
+        quarantined=quarantined_log,
+        failed_shards=[
             states[k].failure
             for k in sorted(states)
             if states[k].failure is not None
-        ),
+        ],
         interrupted=interrupted[0],
-        seconds=seconds,
-    )
-
-
-def run_supervised(
-    spec: CampaignSpec,
-    *,
-    faults: Sequence[FaultPlan] = (),
-    sink: TraceSink = NULL_SINK,
-    resume_state: Optional[CheckpointState] = None,
-    retry_backoff: float = 0.25,
-    backoff_cap: float = 5.0,
-    poison_threshold: int = POISON_THRESHOLD,
-    stop_when: Optional[Callable[[Dict[int, "_BatchState"]], bool]] = None,
-    controller: Optional[CampaignController] = None,
-) -> CampaignResult:
-    """Pooled campaign execution, merged to a :class:`CampaignResult`."""
-    report = run_supervised_shards(
-        spec,
-        faults=faults,
-        sink=sink,
-        resume_state=resume_state,
-        retry_backoff=retry_backoff,
-        backoff_cap=backoff_cap,
-        poison_threshold=poison_threshold,
-        stop_when=stop_when,
-        controller=controller,
-    )
-    return merge_shards(
-        spec,
-        report.shards,
-        report.seconds,
-        retries=report.retries,
-        quarantined=report.quarantined,
-        failed_shards=report.failed_shards,
-        interrupted=report.interrupted,
     )

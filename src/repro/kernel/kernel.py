@@ -66,7 +66,7 @@ class KernelImage:
         validate_program(self.plain_program, helper_names=set(DEFAULT_HELPERS))
         self.lint_report = None
         if config.strict_lint:
-            from repro.analysis import lint_program
+            from repro.analysis.lint import lint_program
 
             self.lint_report = lint_program(
                 self.plain_program,

@@ -114,7 +114,7 @@ ROUTES: Tuple[Route, ...] = (
     ),
     Route(
         "POST", "/api/campaigns/{id}/cancel", "cancel_campaign",
-        "Cancel a campaign (terminal); partial work is checkpointed.",
+        "Cancel a campaign (terminal); finished batches stay checkpointed.",
         response_schema={"id": "campaign id",
                          "state": "\"cancelling\" (or \"cancelled\")"},
     ),

@@ -273,7 +273,6 @@ class CheckpointWritten(ExecEvent):
 
     kind: ClassVar[str] = "checkpoint"
     completed_shards: int
-    partial_shards: int
 
 
 # -- oracles / diagnostics ---------------------------------------------------

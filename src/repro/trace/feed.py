@@ -99,8 +99,8 @@ def describe_event(payload: dict) -> str:
         )
     if kind == "checkpoint":
         return (
-            f"checkpoint written ({payload.get('completed_shards')} complete, "
-            f"{payload.get('partial_shards')} partial shard(s))"
+            f"checkpoint written ({payload.get('completed_shards')} "
+            f"complete shard(s))"
         )
     detail = ", ".join(
         f"{k}={v}" for k, v in sorted(payload.items()) if k not in ("kind", "i")

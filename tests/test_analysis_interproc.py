@@ -11,20 +11,14 @@ import os
 
 import pytest
 
-from repro.analysis import (
-    LintReport,
-    analyze_races,
-    build_callgraph,
-    candidate_pairs,
-    candidate_weights,
-    lint_program,
-    points_to,
-    static_reordering_candidates,
-    summarize_program,
-    to_sarif,
-)
+from repro.analysis.barriers import candidate_pairs, static_reordering_candidates
+from repro.analysis.callgraph import build_callgraph
+from repro.analysis.lint import LintReport, lint_program
 from repro.analysis.lockset import analyze_locksets
-from repro.analysis.pointsto import GlobalRegion, ParamSource
+from repro.analysis.pointsto import GlobalRegion, ParamSource, points_to
+from repro.analysis.races import analyze_races, candidate_weights
+from repro.analysis.sarif import to_sarif
+from repro.analysis.summaries import summarize_program
 from repro.config import KernelConfig
 from repro.kernel import bugs
 from repro.kernel.kernel import KernelImage

@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.analysis import (
-    check_lock_pairing,
-    lint_program,
-    render_report,
-    static_reordering_candidates,
-)
 from repro.analysis.barriers import (
     LD,
     ST,
     candidate_addr_sets,
     function_candidates,
     ordering_summaries,
+    static_reordering_candidates,
 )
+from repro.analysis.lint import lint_program, render_report
+from repro.analysis.locks import check_lock_pairing
 from repro.config import KernelConfig
 from repro.errors import KirError
 from repro.kernel import bugs

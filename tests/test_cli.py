@@ -209,6 +209,12 @@ class TestSupervisedFuzz:
         assert main(["fuzz", "--resume", str(tmp_path / "nope")]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_fuzz_resume_truncated_manifest_is_error(self, tmp_path, capsys):
+        (tmp_path / "campaign.json").write_text('{"version": 2, "kind": "ozz')
+        assert main(["fuzz", "--resume", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "campaign.json" in err
+
     def test_fuzz_injected_death_recovers(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_INJECT_FAULT", "die:1:1")
         assert main(["fuzz", "--iterations", "4", "--jobs", "2",

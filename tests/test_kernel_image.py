@@ -1,5 +1,10 @@
 """Tests for kernel image building, boot, and the syscall surface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.config import KernelConfig
@@ -82,6 +87,32 @@ class TestImage:
 
         with pytest.raises(ConfigError, match="duplicate syscall"):
             KernelImage(KernelConfig(), default_subsystems() + [dup])
+
+
+    def test_cold_setup_loads_only_reaching_definitions(self):
+        """Building an image and booting a kernel, as a campaign's set-up
+        does, loads only the part of KIRA the image's validator uses."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.campaign_api import CampaignSpec
+            from repro.fuzzer.parallel import campaign_pool
+
+            _, pool = campaign_pool(CampaignSpec())
+            pool.acquire()
+            print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        ).stdout
+        loaded = out.strip().splitlines()[-1]
+        assert loaded == str(["repro.analysis", "repro.analysis.reaching"])
 
 
 class TestKernelInstance:

@@ -22,9 +22,10 @@ from repro.campaign_api import (
     QuarantinedInput,
     resume_campaign,
     run_campaign,
+    spec_to_dict,
 )
 from repro.errors import ConfigError
-from repro.fuzzer.parallel import merge_shards, run_shard
+from repro.fuzzer.parallel import merge_shards, run_batch
 from repro.fuzzer.supervisor import (
     CHECKPOINT_VERSION,
     FAULT_ENV,
@@ -33,7 +34,6 @@ from repro.fuzzer.supervisor import (
     faults_from_env,
     load_checkpoint,
     run_supervised,
-    run_supervised_shards,
     write_checkpoint,
 )
 from repro.trace import TraceRecorder
@@ -45,6 +45,53 @@ def small_spec(**overrides):
     return CampaignSpec(**base)
 
 
+def manifest_text(drop=(), **overrides):
+    """A hand-written v2 manifest (no batch completed unless overridden)."""
+    manifest = {
+        "version": CHECKPOINT_VERSION,
+        "kind": "ozz-campaign-checkpoint",
+        "spec": spec_to_dict(small_spec()),
+        "assignments": [],
+        "completed": [],
+        "quarantined": [],
+        "retries": [],
+        "failed": [],
+        "interrupted": False,
+    }
+    manifest.update(overrides)
+    for key in drop:
+        del manifest[key]
+    return json.dumps(manifest)
+
+
+#: Damaged checkpoint directories: the files in them, and the file the
+#: ConfigError must name (None: the directory has no manifest at all).
+DAMAGED_CHECKPOINTS = {
+    "no-manifest": ({}, None),
+    "other-kind": ({MANIFEST_NAME: '{"kind": "something-else"}'}, MANIFEST_NAME),
+    "not-an-object": ({MANIFEST_NAME: "[1, 2]"}, MANIFEST_NAME),
+    "version-1": ({MANIFEST_NAME: manifest_text(version=1)}, MANIFEST_NAME),
+    "future-version": ({MANIFEST_NAME: manifest_text(version=3)}, MANIFEST_NAME),
+    "truncated-manifest": ({MANIFEST_NAME: manifest_text()[:60]}, MANIFEST_NAME),
+    "no-spec": ({MANIFEST_NAME: manifest_text(drop=("spec",))}, MANIFEST_NAME),
+    "no-completed": ({MANIFEST_NAME: manifest_text(drop=("completed",))}, MANIFEST_NAME),
+    "mistyped-spec": ({MANIFEST_NAME: manifest_text(spec=7)}, MANIFEST_NAME),
+    "mistyped-completed": ({MANIFEST_NAME: manifest_text(completed=5)}, MANIFEST_NAME),
+    "mistyped-retries": ({MANIFEST_NAME: manifest_text(retries=[1])}, MANIFEST_NAME),
+    "missing-batch-file": (
+        {MANIFEST_NAME: manifest_text(completed=[0])}, "shard-000.json"
+    ),
+    "undecodable-batch-file": (
+        {MANIFEST_NAME: manifest_text(completed=[0]), "shard-000.json": '{"sh'},
+        "shard-000.json",
+    ),
+    "incomplete-batch-file": (
+        {MANIFEST_NAME: manifest_text(completed=[0]), "shard-000.json": "{}"},
+        "shard-000.json",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def clean_result():
     """One unfaulted supervised run every fault test compares against."""
@@ -54,7 +101,7 @@ def clean_result():
 class TestCleanRuns:
     def test_supervised_matches_inprocess_merge(self, clean_result):
         spec = small_spec()
-        shards = [run_shard(spec, k) for k in range(spec.jobs)]
+        shards = [run_batch(spec, b) for b in spec.batches()]
         expected = merge_shards(spec, shards, seconds=0.0)
         assert clean_result == expected
 
@@ -106,7 +153,8 @@ class TestFaultRecovery:
         assert len(result.failed_shards) == 1
         assert result.failed_shards[0].shard == 1
         # Shard 0's work survived the other shard's permanent failure.
-        survivor = run_shard(small_spec(), 0)
+        spec = small_spec()
+        survivor = run_batch(spec, spec.batches()[0])
         assert result.stats.tests_run == survivor.stats.tests_run
         assert {s.shard for s in result.shards} == {0}
 
@@ -122,7 +170,8 @@ class TestFaultRecovery:
         assert len(result.retries) == 2
         # The quarantined iteration was skipped, so shard 1 ran one
         # fewer input than its clean twin.
-        clean1 = run_shard(small_spec(), 1)
+        spec = small_spec()
+        clean1 = run_batch(spec, spec.batches()[1])
         shard1 = [s for s in result.shards if s.shard == 1][0]
         assert shard1.tests_run < clean1.stats.tests_run
 
@@ -155,7 +204,7 @@ class TestCheckpointResume:
         run_supervised(spec)
         state = load_checkpoint(d)
         assert sorted(state.completed) == [0, 1]
-        resumed = run_supervised_shards(state.spec, resume_state=state)
+        resumed = run_supervised(state.spec, resume_state=state)
         assert [s.shard for s in resumed.shards] == [0, 1]
 
     def test_manifest_schema(self, tmp_path):
@@ -168,12 +217,15 @@ class TestCheckpointResume:
         assert manifest["completed"] == [0, 1]
         assert manifest["interrupted"] is False
 
-    def test_load_rejects_non_checkpoint(self, tmp_path):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("case", sorted(DAMAGED_CHECKPOINTS))
+    def test_load_rejects_non_checkpoint(self, tmp_path, case):
+        files, named = DAMAGED_CHECKPOINTS[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(ConfigError) as info:
             load_checkpoint(str(tmp_path))
-        (tmp_path / MANIFEST_NAME).write_text('{"kind": "something-else"}')
-        with pytest.raises(ConfigError):
-            load_checkpoint(str(tmp_path))
+        if named is not None:
+            assert os.path.join(str(tmp_path), named) in str(info.value)
 
     def test_resume_preserves_quarantine(self, tmp_path):
         d = str(tmp_path / "ckpt")

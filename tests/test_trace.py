@@ -63,7 +63,7 @@ SAMPLE_EVENTS = {
     "batch-claim": BatchClaimed(0, 1, 0),
     "batch-steal": BatchStolen(1, 2, 0, 1),
     "shard-quarantine": InputQuarantined(1, 4, 2),
-    "checkpoint": CheckpointWritten(1, 1),
+    "checkpoint": CheckpointWritten(1),
 }
 
 

@@ -1,13 +1,15 @@
 """Tests for the persistent worker pool (batch plan, stealing, policy).
 
-Complements ``test_supervisor.py`` (fault tolerance under the legacy
-one-batch-per-job plan) with the worker-pool surface this PR added:
-explicit batch plans shared across job counts, work-stealing under slow
-and dead workers, the ``WorkerPolicy`` sub-config, checkpoint schema v2
-with the v1 reader, the ``run_sharded`` deprecation shim, and workers
-that exit once their supervisor is gone.
+Complements ``test_supervisor.py`` (fault tolerance under the default
+one-batch-per-job plan) with the worker-pool surface: explicit batch
+plans shared across job counts, work-stealing under slow and dead
+workers, the ``WorkerPolicy`` sub-config, the checkpoint directory
+(schema v2, each batch file written once, directories in the earlier
+layout still resumable), and workers that exit once their supervisor
+is gone.
 """
 
+import collections
 import json
 import os
 import select
@@ -31,7 +33,8 @@ from repro.campaign_api import (
     spec_to_dict,
 )
 from repro.errors import ConfigError
-from repro.fuzzer.parallel import merge_shards, run_shard, run_sharded
+from repro.fuzzer import supervisor
+from repro.fuzzer.parallel import merge_shards, run_batch
 from repro.fuzzer.supervisor import (
     MANIFEST_NAME,
     FaultPlan,
@@ -101,7 +104,7 @@ class TestPoolDeterminism:
 
     def test_merge_order_is_canonical(self):
         spec = pooled_spec(jobs=1, shard_timeout=None)
-        shards = [run_shard(spec, k) for k in range(len(spec.batches()))]
+        shards = [run_batch(spec, b) for b in spec.batches()]
         forward = merge_shards(spec, shards, seconds=0.0)
         backward = merge_shards(spec, list(reversed(shards)), seconds=0.0)
         assert forward == backward
@@ -193,35 +196,47 @@ class TestWorkerPolicy:
         )
 
 
-class TestCheckpointV1Compat:
-    def _downgrade(self, d):
-        """Rewrite a v2 checkpoint directory to the v1 on-disk schema."""
-        with open(os.path.join(d, MANIFEST_NAME)) as fh:
-            manifest = json.load(fh)
-        manifest["version"] = 1
-        manifest.pop("plan")
-        manifest.pop("assignments")
-        policy = manifest["spec"].pop("policy")
-        manifest["spec"].update(
-            jobs=policy["jobs"],
-            shard_timeout=policy["shard_timeout"],
-            max_retries=policy["max_retries"],
-        )
-        with open(os.path.join(d, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh)
-        for shard in manifest["completed"]:
-            path = os.path.join(d, f"shard-{shard:03d}.json")
-            with open(path) as fh:
-                payload = json.load(fh)
-            from repro.fuzzer.kcov import CoverageMap
+@pytest.fixture
+def count_writes(monkeypatch):
+    """Count the supervisor's checkpoint writes per file name."""
+    writes = collections.Counter()
+    real = supervisor._atomic_write
 
-            payload["coverage"] = sorted(
-                CoverageMap.from_hex(payload["coverage"]).addrs
-            )
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
+    def counting(path, text):
+        writes[os.path.basename(path)] += 1
+        real(path, text)
 
-    def test_resume_from_v1_checkpoint(self, tmp_path):
+    monkeypatch.setattr(supervisor, "_atomic_write", counting)
+    return writes
+
+
+class TestWriteOnceCheckpoint:
+    def test_each_batch_file_written_once_and_no_partials(self, tmp_path, count_writes):
+        # 4 batches of 3 iterations; checkpoint_every=1 makes every batch
+        # ship partial snapshots at iterations 1 and 2.
+        d = str(tmp_path / "ckpt")
+        run_supervised(pooled_spec(checkpoint_dir=d, checkpoint_every=1))
+        batch_files = {f"shard-{k:03d}.json" for k in range(4)}
+        assert {n: c for n, c in count_writes.items() if n != MANIFEST_NAME} == {
+            n: 1 for n in batch_files
+        }
+        assert count_writes[MANIFEST_NAME] >= 4
+        assert set(os.listdir(d)) == batch_files | {MANIFEST_NAME}
+
+    def test_resume_of_finished_directory_writes_only_manifest(
+        self, tmp_path, count_writes
+    ):
+        d = str(tmp_path / "ckpt")
+        first = run_supervised(pooled_spec(checkpoint_dir=d, checkpoint_every=1))
+        count_writes.clear()
+        assert resume_campaign(d) == first
+        assert count_writes == {MANIFEST_NAME: 1}
+
+    def test_resume_from_earlier_layout(self, tmp_path):
+        """A directory written before batch files became write-once: the
+        manifest carries ``plan`` and ``partials`` and an unfinished
+        batch left a ``partial-NNN.json``.  It resumes to the clean
+        result; the extra keys and the stray file are ignored."""
         d = str(tmp_path / "ckpt")
         spec = CampaignSpec(
             iterations=8,
@@ -232,21 +247,31 @@ class TestCheckpointV1Compat:
             checkpoint_every=2,
             max_retries=0,
         )
-        clean = run_supervised(spec)
         first = run_supervised(
             spec, faults=(FaultPlan(shard=1, iteration=1, kind="die"),)
         )
         assert [f.shard for f in first.failed_shards] == [1]
-        self._downgrade(d)
+        manifest_path = os.path.join(d, MANIFEST_NAME)
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["plan"] = [
+            {"batch": b.index, "seed": b.seed, "iterations": b.iterations,
+             "slices": b.nslices}
+            for b in spec.batches()
+        ]
+        manifest["partials"] = [1]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with open(os.path.join(d, "shard-000.json")) as fh:
+            stray = json.load(fh)
+        stray.update(shard=1, iterations=2)
+        with open(os.path.join(d, "partial-001.json"), "w") as fh:
+            json.dump(stray, fh)
 
-        state = load_checkpoint(d)
-        assert sorted(state.completed) == [0]
-        assert state.spec.policy.jobs == 2
-
+        assert sorted(load_checkpoint(d).completed) == [0]
         resumed = resume_campaign(d)
-        assert resumed.stats == clean.stats
-        assert resumed.crashes == clean.crashes
-        assert resumed.shards == clean.shards
+        clean = run_campaign(replace(spec, checkpoint_dir=None))
+        assert replace(resumed, spec=clean.spec) == clean
         assert resumed.failed_shards == ()
 
 
@@ -259,28 +284,9 @@ class TestManifestV2:
             manifest = json.load(fh)
         assert manifest["version"] == 2
         plan = spec.batches()
-        assert manifest["plan"] == [
-            {
-                "batch": b.index,
-                "seed": b.seed,
-                "iterations": b.iterations,
-                "slices": b.nslices,
-            }
-            for b in plan
-        ]
         ran = {a["batch"] for a in manifest["assignments"]}
         assert ran == {b.index for b in plan}
         assert all(a["attempt"] == 0 for a in manifest["assignments"])
-
-
-class TestDeprecationShim:
-    def test_run_sharded_warns_and_matches_run_campaign(self):
-        spec = CampaignSpec(iterations=6, jobs=2, use_seeds=True)
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            old = run_sharded(spec)
-        # The shim returns raw per-batch results; merged they are the
-        # same campaign run_campaign produces.
-        assert merge_shards(spec, old, seconds=0.0) == run_campaign(spec)
 
 
 def _running(pid):
