@@ -34,7 +34,7 @@ from repro.fuzzer.hints import SchedulingHint, calculate_hints, prioritize_hints
 from repro.fuzzer.mti import MTI, run_mti
 from repro.fuzzer.sti import STI, Call, ResourceRef, profile_sti
 from repro.kernel import bugs
-from repro.kernel.kernel import KernelImage
+from repro.kernel.kernel import kernel_image
 from repro.oracles.kcsan import Kcsan
 
 
@@ -105,7 +105,7 @@ def reproduce_bug(
     (within each barrier-type partition, so the shape sweep order is
     preserved) — the ``bench_static_hints`` benchmark's knob.
     """
-    image = KernelImage(config if config is not None else KernelConfig())
+    image = kernel_image(config if config is not None else KernelConfig())
     sti, pair = sti_for_bug(spec)
     profile = profile_sti(image, sti)
     if profile.crash is not None:
@@ -241,7 +241,7 @@ def measure_throughput(
     ozz = run_campaign(CampaignSpec(iterations=iterations, seed=seed, jobs=jobs))
     ozz_rate = ozz.tests_per_sec
 
-    plain_image = KernelImage(KernelConfig(instrumented=False))
+    plain_image = kernel_image(KernelConfig(instrumented=False))
     baseline = SyzkallerBaseline(plain_image, seed=seed)
     start = time.perf_counter()
     baseline.run_seeds(rounds=1)
@@ -271,7 +271,7 @@ class KcsanVerdict:
 
 def kcsan_comparison() -> List[KcsanVerdict]:
     """§7: check each Table 3 bug against KCSAN's detection model."""
-    image = KernelImage(KernelConfig())
+    image = kernel_image(KernelConfig())
     kcsan = Kcsan()
     verdicts: List[KcsanVerdict] = []
     for spec in bugs.table3_bugs():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import KernelConfig
-from repro.kernel.kernel import Kernel, KernelImage
+from repro.kernel.kernel import Kernel, kernel_image
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def run_lmbench(
     """
     from repro.oemu.profiler import Profiler
 
-    plain_image = KernelImage(KernelConfig(instrumented=False))
-    oemu_image = KernelImage(KernelConfig(instrumented=True, instrument_only=instrument_only))
+    plain_image = kernel_image(KernelConfig(instrumented=False))
+    oemu_image = kernel_image(KernelConfig(instrumented=True, instrument_only=instrument_only))
     rows: List[LmbenchRow] = []
     for workload in workloads:
         plain = _time_workload(Kernel(plain_image), workload, reps)

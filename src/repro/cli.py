@@ -35,7 +35,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     from repro.config import KernelConfig
     from repro.fuzzer.fuzzer import minimize_reproducer
-    from repro.kernel.kernel import KernelImage
+    from repro.kernel.kernel import kernel_image
 
     if args.resume:
         result = resume_campaign(args.resume)
@@ -93,7 +93,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             fh.write(result.to_json())
         print(f"wrote {args.json}")
     if args.repro and result.crashdb is not None:
-        image = KernelImage(KernelConfig(patched=frozenset(spec.patched)))
+        image = kernel_image(KernelConfig(patched=frozenset(spec.patched)))
         for title in result.crashdb.unique_titles:
             mini = minimize_reproducer(image, result.crashdb, title)
             if mini is not None:
@@ -233,9 +233,9 @@ def cmd_ofence(args: argparse.Namespace) -> int:
     from repro.config import KernelConfig
     from repro.fuzzer.baselines import OFenceAnalyzer
     from repro.kernel import bugs
-    from repro.kernel.kernel import KernelImage
+    from repro.kernel.kernel import kernel_image
 
-    image = KernelImage(KernelConfig(instrumented=False))
+    image = kernel_image(KernelConfig(instrumented=False))
     analyzer = OFenceAnalyzer(image.plain_program)
     detected = 0
     for spec in bugs.table3_bugs():
@@ -252,9 +252,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.analysis.lint import lint_program, render_report
     from repro.config import KernelConfig
-    from repro.kernel.kernel import KernelImage
+    from repro.kernel.kernel import kernel_image
 
-    image = KernelImage(KernelConfig(instrumented=False))
+    image = kernel_image(KernelConfig(instrumented=False))
     if args.subsystem:
         known = {s.name for s in image.subsystems}
         unknown = [s for s in args.subsystem if s not in known]

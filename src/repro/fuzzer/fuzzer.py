@@ -103,7 +103,8 @@ class OzzFuzzer:
         self.mutate_prob = mutate_prob
         # Record a replayable schedule artifact (repro.trace.replayer)
         # for the first occurrence of each crash title.  Costs one extra
-        # (traced) run per unique crash — rare enough to be on by default.
+        # (traced) run per unique crash on the pooled kernel — rare
+        # enough to be on by default.
         self.record_artifacts = record_artifacts
         # KIRA static seeding (opt-in): pre-compute the instruction
         # address pairs the barrier lint flags as reordering candidates.
@@ -162,8 +163,9 @@ class OzzFuzzer:
         # campaign pool worker running many batches) passes its own pool
         # so the booted kernel is amortized too; resetting to the boot
         # snapshot is equivalent to a fresh boot, so sharing cannot leak
-        # state between batches.  Artifact recording still boots fresh
-        # kernels (run_mti does so whenever a trace sink is attached).
+        # state between batches.  Artifacts are recorded on this pool
+        # too (boot emits no trace events); without a pool, each test and
+        # each recording boots a fresh kernel.
         if pool is not None:
             if not image.config.snapshot_reset:
                 raise ConfigError("a shared KernelPool requires snapshot_reset")
@@ -279,7 +281,7 @@ class OzzFuzzer:
         from repro.trace.replayer import record_crash_artifact
 
         try:
-            artifact = record_crash_artifact(self.image, mti)
+            artifact = record_crash_artifact(self.image, mti, pool=self._pool)
         except ValueError:
             # The traced re-run didn't crash — a nondeterministic trigger
             # (should not happen; execution is deterministic).  Keep the

@@ -3,8 +3,9 @@
 An MTI is an STI annotated with a pair of syscalls to run concurrently
 and one scheduling hint.  Running an MTI:
 
-1. boots a fresh kernel (every test sees pristine state — the real OZZ
-   restarts crashed VMs; we simply never reuse a dirty instance),
+1. takes a kernel in boot state: a pooled kernel reset to its boot
+   snapshot, or a fresh boot (every test sees pristine state — the real
+   OZZ reverts its VMs to a snapshot and restarts crashed ones),
 2. runs the calls before the pair sequentially,
 3. runs the pair under the :class:`~repro.sched.BarrierTestExecutor`
    with the hint's reordering controls and scheduling point, the victim
@@ -68,13 +69,17 @@ def run_mti(
     """Execute one MTI on a pristine kernel.
 
     ``trace`` attaches an ExecTrace sink (e.g. a
-    :class:`~repro.trace.recorder.TraceRecorder`) to the booted kernel;
-    the default no-op sink records nothing.
+    :class:`~repro.trace.recorder.TraceRecorder`) to the kernel; the
+    default no-op sink records nothing.
 
     ``kernel`` may supply a pooled, snapshot-reset kernel in boot state
-    so the fuzzer loop skips the per-test boot.  Recording runs always
-    boot fresh: an OEMU trace sink attaches at construction only, and a
-    fresh boot is exactly what replay reproduces.
+    so the fuzzer loop skips the per-test boot; without one, a fresh
+    kernel is booted.  A recording may run on the pooled kernel: the
+    sink is installed on the machine and its OEMU, and the next
+    :meth:`~repro.kernel.kernel.Kernel.reset` restores the boot sink on
+    both.  Booting emits no trace events and a reset kernel equals a
+    fresh boot, so the recording is the one a fresh boot would make —
+    :func:`~repro.trace.replayer.replay_artifact` re-checks it on one.
 
     ``prefix_len``/``prefix_retvals`` are the prefix-cache fast path:
     ``kernel`` is already positioned after executing ``calls[0..
@@ -82,13 +87,16 @@ def run_mti(
     ``prefix_retvals`` carries those calls' return values, so Phase 1
     starts at ``prefix_len`` instead of 0.  Because positioning by
     snapshot restore is byte-identical to fresh execution, the outcome
-    matches a full run exactly.  Ignored on fresh-boot (traced) runs.
+    matches a full run exactly.  Ignored on fresh boots; a recording
+    covers the whole test, so it must not pass a prefix.
     """
     result = MTIResult(mti=mti)
-    if kernel is None or trace.active:
+    if kernel is None:
         kernel = Kernel(image, trace=trace)
         prefix_len = 0
         prefix_retvals = None
+    elif trace.active:
+        kernel.trace = kernel.oemu.trace = trace
     i, j = mti.pair
     if not 0 <= prefix_len <= i:
         raise ValueError(f"prefix_len {prefix_len} outside [0, {i}]")

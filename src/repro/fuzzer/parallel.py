@@ -38,15 +38,15 @@ from repro.config import KernelConfig
 from repro.fuzzer.fuzzer import FuzzStats, OzzFuzzer
 from repro.fuzzer.kcov import CoverageMap
 from repro.fuzzer.triage import CrashDB
-from repro.kernel.kernel import KernelImage, KernelPool
+from repro.kernel.kernel import KernelImage, KernelPool, kernel_image
 
 if TYPE_CHECKING:  # deferred at runtime: campaign_api imports this package
     from repro.campaign_api import BatchSpec, CampaignResult, CampaignSpec
 
 
 def campaign_image(spec: "CampaignSpec") -> KernelImage:
-    """Build the kernel image a spec's batches run against."""
-    return KernelImage(
+    """The kernel image a spec's batches run against (memoized)."""
+    return kernel_image(
         KernelConfig(
             patched=frozenset(spec.patched),
             snapshot_reset=spec.snapshot_reset,
@@ -55,19 +55,16 @@ def campaign_image(spec: "CampaignSpec") -> KernelImage:
     )
 
 
-def campaign_pool(
-    spec: "CampaignSpec", image: Optional[KernelImage] = None
-) -> Tuple[KernelImage, Optional[KernelPool]]:
+def campaign_pool(spec: "CampaignSpec") -> Tuple[KernelImage, Optional[KernelPool]]:
     """One (image, boot-snapshot pool) pair to amortize across batches.
 
-    Building the image is by far the most expensive setup step and the
-    pool holds the booted kernel the batches reset instead of re-booting
-    — both are deterministic functions of the config, so sharing them
-    across batches (or handing each pool worker its own) cannot change
-    campaign results.
+    The image comes from the process's memo, so only the first campaign
+    of a config builds it; the pool holds the booted kernel the batches
+    reset instead of re-booting.  Both are deterministic functions of
+    the config, so sharing them across batches and campaigns (or handing
+    each pool worker its own) cannot change campaign results.
     """
-    if image is None:
-        image = campaign_image(spec)
+    image = campaign_image(spec)
     pool = KernelPool(image) if spec.snapshot_reset else None
     return image, pool
 
@@ -135,8 +132,9 @@ def run_batch(
     Builds a fresh fuzzer with the batch's derived seed and corpus
     slice, runs its iteration quota, and returns the picklable pieces
     the merge needs.  ``image`` and ``pool`` let a long-lived caller (a
-    pool worker, the serial loop) amortize the kernel image and boot
-    snapshot across many batches; left ``None``, private ones are built.
+    pool worker, the serial loop) amortize the boot snapshot across many
+    batches; left ``None``, the memoized image and a private pool are
+    used.
     ``progress`` is forwarded to :meth:`OzzFuzzer.run` — the
     supervisor's heartbeat / fault-injection / quarantine seam;
     ``on_fuzzer`` hands the constructed fuzzer to the caller before the

@@ -19,7 +19,7 @@ from repro.config import KernelConfig
 from repro.fuzzer.hints import SchedulingHint
 from repro.fuzzer.mti import MTI, MTIResult, run_mti
 from repro.fuzzer.sti import STI, Call, ResourceRef
-from repro.kernel.kernel import KernelImage
+from repro.kernel.kernel import KernelImage, kernel_image
 
 FORMAT_VERSION = 1
 
@@ -53,7 +53,7 @@ class Reproducer:
     def replay(self, image: Optional[KernelImage] = None) -> MTIResult:
         """Re-run the exact failing test; fresh kernel, same controls."""
         if image is None:
-            image = KernelImage(KernelConfig(patched=frozenset(self.patched)))
+            image = kernel_image(KernelConfig(patched=frozenset(self.patched)))
         return run_mti(image, MTI(sti=self.sti, pair=self.pair, hint=self.hint))
 
     def still_triggers(self, image: Optional[KernelImage] = None) -> bool:
@@ -74,7 +74,7 @@ class Reproducer:
         from repro.trace.replayer import record_crash_artifact
 
         if image is None:
-            image = KernelImage(KernelConfig(patched=frozenset(self.patched)))
+            image = kernel_image(KernelConfig(patched=frozenset(self.patched)))
         return record_crash_artifact(
             image, MTI(sti=self.sti, pair=self.pair, hint=self.hint)
         )

@@ -8,8 +8,9 @@ fault-tolerance layer is what makes a long campaign finish.  This module
 provides both halves:
 
 * **Persistent workers.** ``spec.jobs`` worker processes are launched
-  once per campaign.  Each builds (or, under ``fork``, inherits a
-  pre-built) kernel image and boots one kernel into a
+  once per campaign.  Each takes the kernel image from its process's
+  image memo (under ``fork`` it inherits the supervisor's, so nothing
+  is rebuilt) and boots one kernel into a
   :class:`~repro.kernel.kernel.KernelPool`, then *pulls batches* from
   the supervisor until the plan is drained — work-stealing falls out of
   the pull model: a worker that finishes early simply claims the next
@@ -122,21 +123,6 @@ _HANG_SLEEP = 3600.0    # an injected hang sleeps until the supervisor kills it
 _SLOW_SLEEP = 1.0       # an injected slow batch stalls this long, then runs
 _FAULT_EXIT = 17        # exit code of an injected worker death
 _ORPHAN_POLL = 1.0      # idle worker's task-queue timeout between parent checks
-
-#: Image pre-built by the supervisor parent so ``fork`` workers inherit
-#: it instead of each paying the build; keyed by the config-relevant
-#: spec fields so a stale image from an earlier campaign is never reused.
-_PREBUILT: Optional[Tuple[tuple, object]] = None
-
-
-def _image_key(spec: CampaignSpec) -> tuple:
-    return (spec.patched, spec.snapshot_reset, spec.prefix_cache)
-
-
-def _inherited_image(spec: CampaignSpec):
-    if _PREBUILT is not None and _PREBUILT[0] == _image_key(spec):
-        return _PREBUILT[1]
-    return campaign_image(spec)
 
 
 @dataclass(frozen=True)
@@ -294,7 +280,7 @@ def _run_assignment(
 def _pool_worker_main(wid: int, spec: CampaignSpec, taskq, msgq) -> None:
     """Persistent-worker entry point: boot once, pull batches until done.
 
-    The kernel image is inherited from the supervisor's pre-built copy
+    The kernel image is inherited from the supervisor's image memo
     under ``fork`` (built locally otherwise — once, amortized across
     every batch this worker claims), and one booted kernel is held in a
     :class:`KernelPool` across batches; each batch's fuzzer resets it to
@@ -305,8 +291,7 @@ def _pool_worker_main(wid: int, spec: CampaignSpec, taskq, msgq) -> None:
     """
     parent = os.getppid()
     try:
-        image = _inherited_image(spec)
-        _, pool = campaign_pool(spec, image=image)
+        image, pool = campaign_pool(spec)
         while True:
             try:
                 task = taskq.get(timeout=_ORPHAN_POLL)
@@ -441,6 +426,7 @@ class CheckpointState:
     quarantined: Tuple[QuarantinedInput, ...] = ()
     retries: Tuple[RetryEvent, ...] = ()
     interrupted: bool = False
+    assignments: Tuple[dict, ...] = ()  # the claim log, oldest first
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -549,6 +535,7 @@ def load_checkpoint(dirpath: str) -> CheckpointState:
             quarantined=tuple(QuarantinedInput(**q) for q in manifest["quarantined"]),
             retries=tuple(RetryEvent(**r) for r in manifest["retries"]),
             interrupted=manifest["interrupted"],
+            assignments=tuple(dict(a) for a in manifest["assignments"]),
         )
         for shard in manifest["completed"]:
             path = _shard_file(dirpath, shard)
@@ -587,7 +574,6 @@ def run_supervised(
     progress snapshot every poll tick and honours its stop request,
     which is how ``repro serve`` pauses/cancels a backgrounded campaign.
     """
-    global _PREBUILT
     faults = tuple(faults) + faults_from_env()
     start = time.perf_counter()
     method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -610,10 +596,15 @@ def run_supervised(
                 states[q.shard].quarantined.add(q.iteration)
             quarantined_log.append(q)
         retries.extend(resume_state.retries)
+        assignments.extend(resume_state.assignments)
 
     workers: Dict[int, _Worker] = {}
     wid_counter = itertools.count()
     interrupted = [False]
+    # Set when a batch finishes or fails for good; the loop writes the
+    # checkpoint once per tick, after feeding ready workers, so no
+    # worker idles through the write.
+    dirty = [False]
 
     def _on_sigint(signum, frame):
         interrupted[0] = True
@@ -722,7 +713,7 @@ def run_supervised(
             st.failure = ShardFailure(
                 shard=st.index, attempts=st.attempt, reason=reason
             )
-            _checkpoint()
+            dirty[0] = True
         else:
             delay = min(backoff_cap, retry_backoff * (2 ** (st.attempt - 1)))
             st.restart_at = time.monotonic() + delay
@@ -757,7 +748,7 @@ def run_supervised(
             st.result = result
             st.partial = None
             st.assigned_to = None
-            _checkpoint()
+            dirty[0] = True
         elif kind == "error":
             _fail_attempt(st, payload)
 
@@ -821,9 +812,9 @@ def run_supervised(
         unfinished = [st for st in states.values() if not st.finished]
         if unfinished:
             if method == "fork":
-                # Build the kernel image once; forked workers inherit it
-                # instead of each paying the construction cost.
-                _PREBUILT = (_image_key(spec), campaign_image(spec))
+                # Build (or find) the image in this process's memo;
+                # forked workers inherit it instead of each building one.
+                campaign_image(spec)
             for _ in range(min(spec.jobs, len(unfinished))):
                 _spawn_worker()
 
@@ -841,6 +832,9 @@ def run_supervised(
                 if st is None:
                     break
                 _assign(w, st)
+            if dirty[0]:
+                dirty[0] = False
+                _checkpoint()
             # Health: replace dead workers, kill hung ones.
             for w in list(workers.values()):
                 if not w.proc.is_alive():
@@ -890,7 +884,6 @@ def run_supervised(
             w.proc.join(timeout=0.05 if interrupted[0] else 0.5)
             if w.proc.is_alive():
                 _kill(w.proc)
-        _PREBUILT = None
 
     if interrupted[0]:
         _drain_available()  # late partials from the workers just killed

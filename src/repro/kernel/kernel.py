@@ -2,11 +2,13 @@
 
 Two-level split, mirroring "compile once, boot many":
 
-* :class:`KernelImage` — built once per :class:`~repro.config.KernelConfig`.
-  Collects every subsystem's KIR functions, assigns global-variable
-  addresses, links the program, runs the static validator, and (when
-  configured) applies the OEMU instrumentation pass.  Immutable and
-  shared: fuzzing runs thousands of tests against one image.
+* :class:`KernelImage` — built once per :class:`~repro.config.KernelConfig`
+  per process: :func:`kernel_image` memoizes it, and forked workers
+  inherit the memo.  Collects every subsystem's KIR functions, assigns
+  global-variable addresses, links the program, runs the static
+  validator, and (when configured) applies the OEMU instrumentation
+  pass.  Immutable and shared: every campaign, reproducer and replay in
+  the process runs against the one image of its config.
 
 * :class:`Kernel` — one booted instance: fresh memory, allocator,
   oracles, store history and clock.  Cheap to create, so every MTI test
@@ -16,6 +18,9 @@ Two-level split, mirroring "compile once, boot many":
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import KernelConfig
@@ -138,6 +143,47 @@ class KernelImage:
         return sorted(self.syscalls)
 
 
+#: Images :func:`kernel_image` keeps (least recently used evicted first).
+#: One image is about 1 MB, and a process fuzzes one or two configs.
+IMAGE_CACHE_SIZE = 4
+
+_images: "OrderedDict[KernelConfig, KernelImage]" = OrderedDict()
+_images_lock = threading.Lock()
+
+
+def _reset_images_lock() -> None:
+    # A fork taken while another thread held the lock would leave the
+    # child a lock nobody releases.
+    global _images_lock
+    _images_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_images_lock)
+
+
+def kernel_image(config: KernelConfig) -> KernelImage:
+    """The image of ``config``, built once per config per process.
+
+    Images are immutable, so every caller shares one; workers forked
+    after a build inherit it.  The lock guards the table only, never a
+    build: two threads that miss at once both build, and both return
+    the image inserted first.
+    """
+    with _images_lock:
+        image = _images.get(config)
+        if image is not None:
+            _images.move_to_end(config)
+            return image
+    built = KernelImage(config)
+    with _images_lock:
+        image = _images.setdefault(config, built)
+        _images.move_to_end(config)
+        while len(_images) > IMAGE_CACHE_SIZE:
+            _images.popitem(last=False)
+    return image
+
+
 class Kernel(Machine):
     """One booted kernel instance."""
 
@@ -206,10 +252,10 @@ class Kernel(Machine):
         else:
             restored = restore_prefix(self, self._boot_snapshot, to)
         self.kcov = None
-        # Back to the construction-time sink (which is what the OEMU still
-        # holds); the property setter re-binds the interpreter's hoisted
-        # copy, so a post-boot TraceRecorder attach is correctly dropped.
-        self.trace = self._boot_trace
+        # Back to the construction-time sink on the machine and its OEMU;
+        # the property setter re-binds the interpreter's hoisted copy, so
+        # a sink attached for one recorded test is dropped.
+        self.trace = self.oemu.trace = self._boot_trace
         ENGINE_COUNTERS.resets += 1
         ENGINE_COUNTERS.dirty_pages_restored += restored
         self.engine_counters.resets += 1
@@ -306,9 +352,11 @@ class KernelPool:
     snapshot-restored thereafter — so a fuzzing shard pays one boot for
     its whole campaign.  A crashed kernel needs no special handling: the
     next ``acquire()`` rewinds it the same way.  Only valid for images
-    built with ``snapshot_reset=True``; callers that need recording-grade
-    trace fidelity (artifact capture) should boot a fresh
-    :class:`Kernel` instead, since OEMU sinks attach at construction.
+    built with ``snapshot_reset=True``.  Crash artifacts are recorded on
+    the pooled kernel too: booting emits no trace events, so a sink
+    attached to a reset kernel (see :func:`~repro.fuzzer.mti.run_mti`)
+    records what it would on a fresh boot, and the next ``acquire()``
+    detaches it.
     """
 
     def __init__(self, image: KernelImage) -> None:

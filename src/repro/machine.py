@@ -107,9 +107,10 @@ class Machine:
 
     # The interpreter hoists ``trace`` and ``kcov`` into its step loop,
     # so post-construction swaps (TraceRecorder attach, KCov attach) go
-    # through properties that tell it to re-bind.  The OEMU's sink is
-    # deliberately NOT touched here: it is fixed at construction, and
-    # propagating a late swap would change recorded event streams.
+    # through properties that tell it to re-bind.  The OEMU holds its
+    # own sink and is not touched here: a caller recording a whole test
+    # (``run_mti`` on a pooled kernel) sets both, and ``Kernel.reset``
+    # restores both.
 
     @property
     def trace(self) -> TraceSink:

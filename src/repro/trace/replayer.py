@@ -17,8 +17,9 @@ crash.  Schema v1 (documented in DESIGN.md):
                   "n_events": 412, "events": [...]}}
 
 :func:`record_crash_artifact` produces one by running an MTI with a
-recording sink; :func:`replay_artifact` boots a fresh kernel from the
-artifact's config, re-runs the exact MTI, and compares crash identity
+recording sink (on the fuzzer's pooled kernel when it has one);
+:func:`replay_artifact` boots a fresh kernel from the artifact's
+config, re-runs the exact MTI, and compares crash identity
 (oracle, title, reordered instruction addresses, barrier location) and
 the serialized event streams byte-for-byte.
 
@@ -36,7 +37,7 @@ from typing import List, Optional, Tuple
 from repro.config import KernelConfig
 from repro.fuzzer.mti import MTI, MTIResult, run_mti
 from repro.fuzzer.reproducer import Reproducer
-from repro.kernel.kernel import KernelImage
+from repro.kernel.kernel import KernelImage, KernelPool, kernel_image
 from repro.trace.events import SCHEMA_VERSION
 from repro.trace.recorder import DEFAULT_CAPACITY, TraceRecorder
 
@@ -78,10 +79,8 @@ class CrashArtifact:
         return MTI(sti=r.sti, pair=r.pair, hint=r.hint)
 
     def image(self) -> KernelImage:
-        """Build the kernel image this artifact was recorded against."""
-        return KernelImage(
-            KernelConfig(patched=frozenset(self.reproducer.patched))
-        )
+        """The kernel image this artifact was recorded against."""
+        return kernel_image(KernelConfig(patched=frozenset(self.reproducer.patched)))
 
     # -- serialization -----------------------------------------------------
 
@@ -178,8 +177,9 @@ def dump_artifacts(crashdb, patched, outdir: str) -> List[str]:
     Returns the written paths.  Shared by ``repro fuzz --artifacts`` and
     the service's per-campaign artifact store: crashes recorded with an
     attached artifact save directly; crashes holding only a reproducer
-    are re-run against a fresh image to record one (a re-run that no
-    longer crashes — e.g. the bug was patched meanwhile — is skipped).
+    are re-run against the image of ``patched`` to record one (a re-run
+    that no longer crashes — e.g. the bug was patched meanwhile — is
+    skipped).
     """
     import os
 
@@ -191,7 +191,7 @@ def dump_artifacts(crashdb, patched, outdir: str) -> List[str]:
         artifact = rec.artifact
         if artifact is None and rec.reproducer is not None:
             if image is None:
-                image = KernelImage(KernelConfig(patched=frozenset(patched)))
+                image = kernel_image(KernelConfig(patched=frozenset(patched)))
             try:
                 artifact = rec.reproducer.record_artifact(image)
             except ValueError:
@@ -205,17 +205,26 @@ def dump_artifacts(crashdb, patched, outdir: str) -> List[str]:
 
 
 def record_crash_artifact(
-    image: KernelImage, mti: MTI, *, capacity: int = DEFAULT_CAPACITY
+    image: KernelImage,
+    mti: MTI,
+    *,
+    capacity: int = DEFAULT_CAPACITY,
+    pool: Optional[KernelPool] = None,
 ) -> CrashArtifact:
     """Run ``mti`` with a recording sink and package the crash artifact.
 
     Execution is deterministic, so re-running a crashing MTI with the
     recorder attached reproduces the same crash — now with its full
-    event schedule.  Raises :class:`ValueError` if the run did not
-    crash (the artifact would have nothing to prove).
+    event schedule.  With ``pool`` (the fuzzer's), the run takes the
+    pooled kernel reset to boot state instead of booting a fresh one;
+    the artifact is byte-identical either way, and
+    :func:`replay_artifact` re-checks it on a fresh boot.  Raises
+    :class:`ValueError` if the run did not crash (the artifact would
+    have nothing to prove).
     """
     recorder = TraceRecorder(capacity)
-    result = run_mti(image, mti, trace=recorder)
+    kernel = pool.acquire() if pool is not None else None
+    result = run_mti(image, mti, trace=recorder, kernel=kernel)
     if not result.crashed:
         raise ValueError(
             f"MTI did not crash under recording (phase={result.phase!r}); "
@@ -278,6 +287,8 @@ def replay_artifact(
     Boots a fresh kernel (same patch set as the recording unless
     ``image`` is given), re-runs the exact MTI with a fresh recorder,
     and checks crash identity plus the event streams byte-for-byte.
+    Replay always boots fresh: it is the reference every recording on a
+    pooled kernel must match.
     When the original ring dropped events, only the retained window is
     compared (both runs keep the same-capacity tail).
     """

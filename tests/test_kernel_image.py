@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
 from repro.config import KernelConfig
 from repro.errors import KirError
 from repro.kernel import KernelImage, Kernel
+from repro.kernel.kernel import IMAGE_CACHE_SIZE, kernel_image
 from repro.kernel.bugs import all_bugs
 from repro.fuzzer.syzlang import validate_against_kernel
 from repro.fuzzer.templates import templates
@@ -113,6 +115,50 @@ class TestImage:
         ).stdout
         loaded = out.strip().splitlines()[-1]
         assert loaded == str(["repro.analysis", "repro.analysis.reaching"])
+
+
+class TestImageMemo:
+    def test_one_image_per_config(self):
+        config = KernelConfig()
+        assert kernel_image(config) is kernel_image(KernelConfig())
+        patched = kernel_image(KernelConfig(patched=frozenset({"t3_rds_xmit"})))
+        assert patched is not kernel_image(config)
+        assert patched.config.patched == {"t3_rds_xmit"}
+
+    def test_evicts_the_least_recently_used_image(self):
+        configs = [KernelConfig(ncpus=n) for n in range(3, 4 + IMAGE_CACHE_SIZE)]
+        images = [kernel_image(config) for config in configs[:-1]]
+        assert kernel_image(configs[0]) is images[0]  # a hit refreshes it
+        kernel_image(configs[-1])  # evicts configs[1], now the oldest
+        assert kernel_image(configs[0]) is images[0]
+        rebuilt = kernel_image(configs[1])
+        assert rebuilt is not images[1]
+        assert rebuilt.config == configs[1]
+
+    def test_concurrent_callers_share_one_image(self):
+        """More threads than cores ask for one uncached config at once."""
+        config = KernelConfig(ncpus=3, lockdep=False)
+        nthreads = (os.cpu_count() or 1) + 2
+        start = threading.Barrier(nthreads)
+        images, errors = [], []
+
+        def ask():
+            try:
+                start.wait(timeout=30)
+                images.append(kernel_image(config))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(images) == nthreads
+        assert all(image is images[0] for image in images)
+        assert kernel_image(config) is images[0]
 
 
 class TestKernelInstance:

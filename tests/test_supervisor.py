@@ -227,6 +227,20 @@ class TestCheckpointResume:
         if named is not None:
             assert os.path.join(str(tmp_path), named) in str(info.value)
 
+    def test_resume_appends_to_the_claim_log(self, tmp_path):
+        d = str(tmp_path / "ckpt")
+        spec = small_spec(checkpoint_dir=d, max_retries=0)
+        first = run_supervised(
+            spec, faults=(FaultPlan(shard=1, iteration=1, kind="die"),)
+        )
+        assert [f.shard for f in first.failed_shards] == [1]
+        first_claims = list(load_checkpoint(d).assignments)
+        assert sorted(c["batch"] for c in first_claims) == [0, 1]
+        resume_campaign(d)
+        with open(os.path.join(d, MANIFEST_NAME)) as fh:
+            claims = json.load(fh)["assignments"]
+        assert claims == first_claims + [{"batch": 1, "attempt": 0, "worker": 0}]
+
     def test_resume_preserves_quarantine(self, tmp_path):
         d = str(tmp_path / "ckpt")
         spec = small_spec(checkpoint_dir=d, max_retries=4)

@@ -157,6 +157,42 @@ class TestRecordingAPI:
         assert a.to_json() == b.to_json()
 
 
+class TestPooledRecording:
+    """The fuzzer records artifacts on its pooled kernel, reset to boot
+    state; a fresh boot is the reference each recording must match."""
+
+    @pytest.mark.parametrize("seed", range(1, 17))
+    def test_pool_recordings_equal_fresh_boot_recordings(self, seed):
+        from repro.campaign_api import CampaignSpec, run_campaign
+        from repro.fuzzer.parallel import campaign_image
+
+        spec = CampaignSpec(iterations=40, seed=seed)
+        result = run_campaign(spec)
+        image = campaign_image(spec)
+        artifacts = [
+            r.artifact for r in result.crashdb.records.values() if r.artifact
+        ]
+        assert artifacts
+        for art in artifacts:
+            fresh = record_crash_artifact(image, art.mti)
+            assert fresh.to_json() == art.to_json(), art.title
+            verdict = replay_artifact(art, image)
+            assert verdict.ok, verdict.render()
+
+    def test_next_acquire_detaches_the_recorder(self, fuzzed, image):
+        from repro.kernel.kernel import KernelPool
+        from repro.trace.sink import NULL_SINK
+
+        pool = KernelPool(image)
+        art = ooo_record(fuzzed).artifact
+        recorded = record_crash_artifact(image, art.mti, pool=pool)
+        assert recorded.to_json() == art.to_json()
+        kernel = pool.acquire()
+        assert kernel.trace is NULL_SINK
+        assert kernel.oemu.trace is NULL_SINK
+        assert not kernel.interp._trace.active
+
+
 class TestArtifactErrors:
     """Garbage in must produce :class:`ArtifactError`, never a raw
     ``KeyError``/``TypeError`` traceback — artifacts travel over HTTP
