@@ -34,11 +34,6 @@ class KernelConfig:
     ``sbitmap_manual_percpu``  the §6.2 "manual modification": force the
                       sbitmap per-CPU bug's threads to share one per-CPU
                       block even though they run on different CPUs.
-    ``decoded_dispatch``  execution-engine switch: pre-decoded closures
-                      (:mod:`repro.kir.decode`, the default) or, when
-                      ``False``, the reference ``isinstance``
-                      interpreter.  Both engines are observably
-                      identical — the differential suites prove it.
     ``snapshot_reset``  capture a boot snapshot so :meth:`Kernel.reset`
                       can restore pristine state via dirty-page tracking
                       and the fuzzer can reuse one kernel per shard
@@ -60,7 +55,6 @@ class KernelConfig:
     strict_lint: bool = False
     ncpus: int = 2
     sbitmap_manual_percpu: bool = False
-    decoded_dispatch: bool = True
     snapshot_reset: bool = True
     prefix_cache: bool = True
 

@@ -29,8 +29,9 @@ request (the fan-out only positions at a pair's first index, which is
 bounded by ``min(n - 2, max_pairs_per_sti - 1)``).
 
 Restore-positioning is byte-identical to fresh execution (the
-differential suite proves it under both engines), so cached and
-uncached campaigns produce equal results.
+differential suite proves it on the decoded engine and on the test
+suite's reference oracle), so cached and uncached campaigns produce
+equal results.
 
 A crash or hang inside the prefix "cannot happen" — ``profile_sti``
 already ran the whole STI cleanly and execution is deterministic — but

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import KernelConfig
 from repro.errors import ConfigError, KirError
+from repro.kir.decode import decode_program
 from repro.kir.function import Program
 from repro.kir.interp import ThreadCtx
 from repro.kir.validate import validate_program
@@ -109,12 +110,9 @@ class KernelImage:
                 if not self.program.has_function(sc.func):
                     raise ConfigError(f"syscall {sc.name}: no function {sc.func}")
                 self.syscalls[sc.name] = sc
-        if config.decoded_dispatch:
-            # Decode once at image-build time; every Kernel booted from
-            # this image (all tests, all shards) shares the result.
-            from repro.kir.decode import decode_program
-
-            decode_program(self.program)
+        # Decode once at image-build time; every Kernel booted from this
+        # image (all tests, all batches) shares the result.
+        decode_program(self.program)
 
     def _assign_globals(self) -> None:
         cursor = DATA_BASE
@@ -201,7 +199,6 @@ class Kernel(Machine):
             profiler=profiler,
             kasan_enabled=image.config.kasan,
             trace=trace,
-            decoded_dispatch=image.config.decoded_dispatch,
         )
         self.image = image
         self.config = image.config

@@ -1,9 +1,9 @@
-"""Pre-decoded closure dispatch — the KIR fast execution engine.
+"""Pre-decoded closure dispatch — the KIR execution engine.
 
-The reference interpreter (:meth:`repro.kir.interp.Interpreter._execute`)
-walks a 10-way ``isinstance`` chain and re-examines every operand on
-every retired instruction.  This module removes both costs by splitting
-execution into three phases:
+Interpreting an :class:`~repro.kir.insn.Insn` directly means a 13-way
+``isinstance`` chain and re-examining every operand on every retired
+instruction.  This module removes both costs by splitting execution
+into three phases:
 
 1. **decode** (once per linked :class:`~repro.kir.function.Program`):
    every instruction is compiled to a *factory*.  Operand kinds (``Imm``
@@ -11,7 +11,7 @@ execution into three phases:
    Python int captured in the closure, a register becomes a pre-bound
    name — so the hot path never touches an ``Operand`` object again.
    The decoded program is memoized on the ``Program`` object, so every
-   machine, test and shard that executes the same image shares one
+   machine, test and batch that executes the same image shares one
    decode pass.
 
 2. **bind** (lazily, per machine, per function): each factory is called
@@ -19,20 +19,16 @@ execution into three phases:
    specialization happens here: ``insn.instrumented and oemu`` picks the
    OEMU callback path or the direct-memory path, and method lookups
    (``memory.check``, ``kasan.check_access``, ``memory.load``...) are
-   hoisted into closure cells.  Machines with a ``deps`` tracker attached
-   fall back to the reference ``_execute`` per instruction — the fast
-   closures are for the no-``deps`` configuration the fuzzer runs.
+   hoisted into closure cells.
 
-3. **execute**: ``closure(thread, frame) -> bool`` with the same
-   contract as ``_execute`` — the return value is the advance flag, and
-   the closure may raise ``HelperRetry`` / ``KernelCrash`` / ``KirError``
-   exactly where the reference engine would.  Crash titles, register
-   error messages, OEMU callbacks, oracle invocations and their order
-   are identical instruction-for-instruction (``tests/
-   test_decode_differential.py`` asserts this, including event streams).
-
-``KernelConfig(decoded_dispatch=False)`` switches any kernel back to the
-reference engine.
+3. **execute**: ``closure(thread, frame) -> bool`` — the return value is
+   the advance flag (True = move the pc to the next instruction), and
+   the closure may raise ``HelperRetry`` / ``KernelCrash`` / ``KirError``.
+   Crash titles, register error messages, OEMU callbacks, oracle
+   invocations and their order are pinned instruction-for-instruction
+   to an ``isinstance``-dispatch oracle kept in ``tests/kir_reference.py``
+   (``tests/test_decode_differential.py`` and
+   ``tests/test_prop_engine.py`` assert it, event streams included).
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ from repro.kir.insn import (
 )
 from repro.mem.memory import MemoryFault
 
-#: closure(thread, frame) -> advance flag, same contract as ``_execute``.
+#: closure(thread, frame) -> advance flag.
 OpClosure = Callable[..., bool]
 #: factory(machine) -> OpClosure, produced once per instruction at decode.
 OpFactory = Callable[..., OpClosure]
@@ -75,7 +71,7 @@ _CACHE_ATTR = "_decoded_cache"
 
 
 def _undef(func_name: str, index: int, reg_name: str) -> KirError:
-    """The reference engine's undefined-register error, byte-identical."""
+    """The error every closure raises when it reads an undefined register."""
     return KirError(f"{func_name}[{index}]: register %{reg_name} undefined")
 
 
@@ -643,8 +639,8 @@ _DECODERS = {
 def decode_insn(insn: Insn, fname: str, index: int) -> OpFactory:
     decoder = _DECODERS.get(type(insn))
     if decoder is None:
-        # Parity with the reference engine's tail case: fail at execute
-        # time, not decode time, with the same error.
+        # An instruction type without a decoder fails when it executes,
+        # not when its program is decoded.
         def make(m):
             def op(thread, frame):
                 raise KirError(f"cannot execute {insn!r}")
@@ -708,22 +704,13 @@ class BoundProgram:
 
     def bind_function(self, function: Function) -> List[OpClosure]:
         m = self.machine
-        if m.deps is not None:
-            # Dependency-tracked machines take the reference path per
-            # instruction; the fast closures are deps-free by design.
-            execute = m.interp._execute
-            ops: List[OpClosure] = [
-                (lambda thread, frame, _i=insn: execute(thread, frame, _i))
-                for insn in function.insns
+        factories = self.decoded.factories.get(id(function))
+        if factories is None:  # function added after decode (tests)
+            factories = [
+                decode_insn(insn, function.name, i)
+                for i, insn in enumerate(function.insns)
             ]
-        else:
-            factories = self.decoded.factories.get(id(function))
-            if factories is None:  # function added after decode (tests)
-                factories = [
-                    decode_insn(insn, function.name, i)
-                    for i, insn in enumerate(function.insns)
-                ]
-            ops = [factory(m) for factory in factories]
+        ops = [factory(m) for factory in factories]
         self.by_func[id(function)] = ops
         from repro.oemu.profiler import ENGINE_COUNTERS
 

@@ -2,7 +2,9 @@
 
 Executes one instruction per :meth:`Interpreter.step`, which is what lets
 the custom scheduler (paper §10.3) interleave threads at instruction
-granularity.  Memory-accessing instructions take one of two paths:
+granularity.  Instructions run as the closures :mod:`repro.kir.decode`
+compiles once per program and binds once per machine; memory-accessing
+instructions are compiled for one of two paths:
 
 * **plain** (uninstrumented): direct memory access — the baseline kernel
   build Syzkaller would fuzz;
@@ -23,7 +25,6 @@ The interpreter is generic over a ``machine`` object (in practice
     kasan          repro.oracles.Kasan
     fault_oracle   repro.oracles.FaultOracle
     helpers        dict name -> callable(machine, thread, *args) -> int|None
-    deps           repro.oemu.DependencyTracker or None
     kcov           repro.fuzzer.kcov.KCov or None
     trace          repro.trace.TraceSink (NULL_SINK when not tracing)
 """
@@ -34,31 +35,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionLimitExceeded, KernelCrash, KirError
-from repro.kir.function import Function, Program
-from repro.kir.insn import (
-    AtomicOp,
-    AtomicRMW,
-    Barrier,
-    BinOp,
-    Branch,
-    Call,
-    Helper,
-    ICall,
-    Imm,
-    Insn,
-    Jump,
-    Load,
-    MASK64,
-    Mov,
-    Nop,
-    Operand,
-    Reg,
-    Ret,
-    Store,
-    branch_taken,
-    eval_binop,
-)
-from repro.mem.memory import MemoryFault
+from repro.kir.decode import BoundProgram
+from repro.kir.function import Function
+from repro.kir.insn import AtomicOp, Insn, MASK64, Reg
 from repro.oracles.report import CrashReport, stack_overflow_title
 from repro.trace.events import Step
 from repro.trace.sink import NULL_SINK
@@ -130,7 +109,7 @@ class ThreadCtx:
         """Push a frame for ``function``: every frame push goes through here.
 
         A push past :data:`MAX_CALL_DEPTH` raises :class:`KernelCrash`,
-        the way Linux faults on the stack guard page.  Both engines
+        the way Linux faults on the stack guard page.  Call closures
         advance the caller's index past the call before pushing, so the
         call instruction is ``insns[index - 1]``.
         """
@@ -165,29 +144,17 @@ class ThreadCtx:
 class Interpreter:
     """Stepwise executor over a machine.
 
-    Two engines with identical observable behaviour (the differential
-    suites prove it): the reference engine dispatches through
-    :meth:`_execute` (kept verbatim for differential testing), the
-    decoded engine runs pre-compiled closures from
-    :mod:`repro.kir.decode`.  ``decoded`` picks between them; a machine
-    with a dependency tracker always runs the reference engine, because
-    the decoded closures are deps-free by design.
-
-    Per-step machine attributes (``kcov``, ``trace``) are hoisted into
-    the interpreter and refreshed by :meth:`rebind`, which the machine
-    calls whenever a sink or coverage collector is swapped (and on
-    :meth:`Kernel.reset`).
+    Runs the decoded closures of :mod:`repro.kir.decode`, bound to this
+    machine.  Per-step machine attributes (``kcov``, ``trace``) are
+    hoisted into the interpreter and refreshed by :meth:`rebind`, which
+    the machine calls whenever a sink or coverage collector is swapped
+    (and on :meth:`Kernel.reset`).
     """
 
-    def __init__(self, machine, *, decoded: bool = False) -> None:
+    def __init__(self, machine) -> None:
         self.machine = machine
-        self._bound = None
-        self._codes = None
-        if decoded and getattr(machine, "deps", None) is None:
-            from repro.kir.decode import BoundProgram
-
-            self._bound = BoundProgram(machine)
-            self._codes = self._bound.by_func
+        self._bound = BoundProgram(machine)
+        self._codes = self._bound.by_func
         self.rebind()
 
     def rebind(self) -> None:
@@ -195,21 +162,23 @@ class Interpreter:
 
         Must be called after swapping ``machine.trace`` / ``machine.kcov``
         (the machine's property setters do) so the hoisted copies do not
-        go stale.  Decoded closures themselves never need re-binding:
-        they reference only machine components that live as long as the
-        machine (memory, oemu, oracles, the helpers dict).
+        go stale.  ``active`` is a class constant on every sink, so it is
+        hoisted with the sink.  Decoded closures themselves never need
+        re-binding: they reference only machine components that live as
+        long as the machine (memory, oemu, oracles, the helpers dict).
         """
         machine = self.machine
         self._kcov = getattr(machine, "kcov", None)
         trace = getattr(machine, "trace", None)
         self._trace = NULL_SINK if trace is None else trace
+        self._tracing = self._trace.active
 
     @property
-    def unobserved_decoded(self) -> bool:
-        """True when decoded closures can run without per-step dispatch:
-        the decoded engine is active and no observer (coverage collector
-        or trace sink) needs to see individual instruction retirements."""
-        return self._codes is not None and self._kcov is None and not self._trace.active
+    def unobserved(self) -> bool:
+        """True when no observer (coverage collector or trace sink) needs
+        to see individual instruction retirements, so run-to-completion
+        loops may skip the per-step dispatch of :meth:`step`."""
+        return self._kcov is None and not self._tracing
 
     # -- public API -----------------------------------------------------------
 
@@ -225,6 +194,8 @@ class Interpreter:
         every instruction that retires emits exactly one
         :class:`~repro.trace.events.Step` event through the machine's
         trace sink (skipped entirely when the no-op sink is attached).
+        The ``Insn`` object is only touched when an observer (kcov or a
+        trace sink) needs its address.
         """
         if thread.finished:
             return False
@@ -235,30 +206,10 @@ class Interpreter:
         thread.fuel -= 1
         thread.steps += 1
         frame = thread.frames[-1]
-        if self._codes is None:
-            # Reference engine: isinstance dispatch over the Insn object.
-            insn = frame.function.insns[frame.index]
-            kcov = self._kcov
-            if kcov is not None:
-                kcov.on_insn(thread.thread_id, insn.addr)
-            try:
-                advance = self._execute(thread, frame, insn)
-            except HelperRetry:
-                return True  # same pc next step; the insn did not retire
-            if advance and not thread.finished and thread.frames and thread.frames[-1] is frame:
-                frame.index += 1
-            trace = self._trace
-            if trace.active:
-                trace.emit(Step(thread.thread_id, insn.addr))
-            return not thread.finished
-        # Decoded engine: the Insn object is only touched when an
-        # observer (kcov / trace sink) needs its address.
         index = frame.index
-        addr = None
         kcov = self._kcov
         if kcov is not None:
-            addr = frame.function.insns[index].addr
-            kcov.on_insn(thread.thread_id, addr)
+            kcov.on_insn(thread.thread_id, frame.function.insns[index].addr)
         ops = frame.ops
         if ops is None:
             func = frame.function
@@ -272,16 +223,13 @@ class Interpreter:
             return True  # same pc next step; the insn did not retire
         if advance and not thread.finished and thread.frames and thread.frames[-1] is frame:
             frame.index += 1
-        trace = self._trace
-        if trace.active:
-            if addr is None:
-                addr = frame.function.insns[index].addr
-            trace.emit(Step(thread.thread_id, addr))
+        if self._tracing:
+            self._trace.emit(Step(thread.thread_id, frame.function.insns[index].addr))
         return not thread.finished
 
     def run(self, thread: ThreadCtx, max_steps: Optional[int] = None) -> int:
         """Run a thread to completion; returns its return value."""
-        if max_steps is None and self.unobserved_decoded:
+        if max_steps is None and self.unobserved:
             # Nobody observes instruction retirement (no coverage, no
             # trace sink) and there is no step cap, so the per-step
             # dispatch through step() is pure overhead — run the decoded
@@ -298,7 +246,7 @@ class Interpreter:
         return thread.retval
 
     def _run_decoded(self, thread: ThreadCtx) -> int:
-        """Run-to-completion inner loop for the decoded engine.
+        """Run-to-completion inner loop over the decoded closures.
 
         Equivalent to ``while self.step(thread): pass`` when no observer
         is attached: fuel/step accounting, frame switching, and
@@ -343,183 +291,12 @@ class Interpreter:
         thread = self.spawn(func_name, args, thread_id=thread_id, cpu=cpu)
         return self.run(thread)
 
-    # -- evaluation ----------------------------------------------------------------
-
-    def _eval(self, frame: Frame, op: Operand) -> int:
-        if isinstance(op, Imm):
-            return op.value & MASK64
-        value = frame.regs.get(op.name)
-        if value is None:
-            raise KirError(
-                f"{frame.function.name}[{frame.index}]: register %{op.name} undefined"
-            )
-        return value & MASK64
-
-    @staticmethod
-    def _reg_name(op: Operand) -> Optional[str]:
-        return op.name if isinstance(op, Reg) else None
-
-    # -- instruction dispatch ----------------------------------------------------------
-
-    def _execute(self, thread: ThreadCtx, frame: Frame, insn: Insn) -> bool:
-        """Returns True if the pc should advance normally."""
-        m = self.machine
-        deps = m.deps
-
-        if isinstance(insn, Mov):
-            frame.regs[insn.dst.name] = self._eval(frame, insn.src)
-            if deps:
-                deps.on_mov(insn.dst.name, self._reg_name(insn.src))
-            return True
-
-        if isinstance(insn, BinOp):
-            frame.regs[insn.dst.name] = eval_binop(
-                insn.op, self._eval(frame, insn.lhs), self._eval(frame, insn.rhs)
-            )
-            if deps:
-                deps.on_binop(insn.dst.name, self._reg_name(insn.lhs), self._reg_name(insn.rhs))
-            return True
-
-        if isinstance(insn, Load):
-            addr = (self._eval(frame, insn.base) + insn.offset) & MASK64
-            self._check_access(thread, insn, addr, insn.size, is_write=False)
-            if insn.instrumented and m.oemu is not None:
-                value = m.oemu.on_load(
-                    thread.thread_id, insn.addr, insn.annot, addr, insn.size, thread.current_function
-                )
-            else:
-                value = m.memory.load(addr, insn.size, check=False)
-            frame.regs[insn.dst.name] = value
-            if deps:
-                deps.on_load(insn.addr, insn.dst.name, self._reg_name(insn.base))
-            return True
-
-        if isinstance(insn, Store):
-            addr = (self._eval(frame, insn.base) + insn.offset) & MASK64
-            value = self._eval(frame, insn.src)
-            self._check_access(thread, insn, addr, insn.size, is_write=True)
-            if insn.instrumented and m.oemu is not None:
-                m.oemu.on_store(
-                    thread.thread_id, insn.addr, insn.annot, addr, insn.size, value, thread.current_function
-                )
-            else:
-                m.memory.store(addr, insn.size, value, check=False)
-            if deps:
-                deps.on_store(insn.addr, self._reg_name(insn.src), self._reg_name(insn.base))
-            return True
-
-        if isinstance(insn, Barrier):
-            if insn.instrumented and m.oemu is not None:
-                m.oemu.on_barrier(thread.thread_id, insn.addr, insn.kind, thread.current_function)
-            return True
-
-        if isinstance(insn, AtomicRMW):
-            return self._execute_atomic(thread, frame, insn)
-
-        if isinstance(insn, Branch):
-            if deps:
-                deps.on_branch(self._reg_name(insn.lhs), self._reg_name(insn.rhs))
-            if branch_taken(insn.cond, self._eval(frame, insn.lhs), self._eval(frame, insn.rhs)):
-                frame.index = insn.target
-                return False
-            return True
-
-        if isinstance(insn, Jump):
-            frame.index = insn.target
-            return False
-
-        if isinstance(insn, Call):
-            callee = m.program.function(insn.func)
-            args = tuple(self._eval(frame, a) for a in insn.args)
-            frame.index += 1  # return point
-            thread.call(callee, args, ret_dst=insn.dst)
-            return False
-
-        if isinstance(insn, ICall):
-            target = self._eval(frame, insn.target)
-            callee = m.program.resolve_func_pointer(target)
-            if callee is None:
-                m.fault_oracle.on_bad_call(target, thread.current_function, insn.addr)
-            args = tuple(self._eval(frame, a) for a in insn.args)
-            frame.index += 1
-            thread.call(callee, args, ret_dst=insn.dst)
-            return False
-
-        if isinstance(insn, Ret):
-            value = self._eval(frame, insn.src) if insn.src is not None else 0
-            # The popped frame remembers where its caller wanted the
-            # return value; re-deriving it from insns[index - 1] breaks
-            # when the return point is reached via a branch target.
-            callee_frame = thread.frames.pop()
-            if not thread.frames:
-                thread.finished = True
-                thread.retval = value
-            else:
-                dst = callee_frame.ret_dst
-                if dst is not None:
-                    thread.frames[-1].regs[dst.name] = value
-            return False
-
-        if isinstance(insn, Helper):
-            args = tuple(self._eval(frame, a) for a in insn.args)
-            fn = m.helpers.get(insn.name)
-            if fn is None:
-                raise KirError(f"unknown helper {insn.name!r}")
-            result = fn(m, thread, *args)  # may raise HelperRetry / KernelCrash
-            if insn.dst is not None:
-                frame.regs[insn.dst.name] = (result or 0) & MASK64
-            return True
-
-        if isinstance(insn, Nop):
-            return True
-
-        raise KirError(f"cannot execute {insn!r}")
-
-    def _execute_atomic(self, thread: ThreadCtx, frame: Frame, insn: AtomicRMW) -> bool:
-        m = self.machine
-        addr = (self._eval(frame, insn.base) + insn.offset) & MASK64
-        operand = self._eval(frame, insn.operand)
-        expected = self._eval(frame, insn.expected) if insn.expected is not None else None
-        self._check_access(thread, insn, addr, insn.size, is_write=True)
-
-        result_box = {}
-
-        def rmw(old: int) -> int:
-            new, ret = _apply_atomic(insn.op, old, operand, expected)
-            result_box["ret"] = ret
-            return new
-
-        if insn.instrumented and m.oemu is not None:
-            m.oemu.on_atomic(
-                thread.thread_id, insn.addr, insn.ordering, addr, insn.size, rmw, thread.current_function
-            )
-        else:
-            old = m.memory.load(addr, insn.size, check=False)
-            m.memory.store(addr, insn.size, rmw(old), check=False)
-        if insn.dst is not None:
-            if "ret" not in result_box:
-                raise _missing_atomic_ret(
-                    frame.function.name, frame.index, insn.op, insn.dst.name
-                )
-            frame.regs[insn.dst.name] = result_box["ret"] & MASK64
-        return True
-
-    # -- oracle hooks --------------------------------------------------------------------
-
-    def _check_access(self, thread: ThreadCtx, insn: Insn, addr: int, size: int, is_write: bool) -> None:
-        m = self.machine
-        try:
-            m.memory.check(addr, size, is_write)
-        except MemoryFault as fault:
-            m.fault_oracle.on_fault(fault, thread.current_function, insn.addr)
-        m.kasan.check_access(addr, size, is_write, thread.current_function, insn.addr)
-
 
 def _missing_atomic_ret(func_name: str, index: int, op: AtomicOp, dst: str) -> KirError:
     """Diagnostic for an OEMU path that deferred the rmw callback.
 
-    Shared with :mod:`repro.kir.decode` so both engines raise the same
-    error instead of an opaque ``KeyError``.
+    Raised by the atomic closures of :mod:`repro.kir.decode` instead of
+    an opaque ``KeyError``.
     """
     return KirError(
         f"{func_name}[{index}]: atomic {op.name} deferred its rmw callback; "

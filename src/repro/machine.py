@@ -14,15 +14,7 @@ which the stack emits :mod:`repro.trace` events.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-try:  # pragma: no cover - typing.Protocol is 3.8+, soft fallback anyway
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
+from typing import Callable, Dict, Optional, Protocol, runtime_checkable
 
 from repro.clock import LogicalClock
 from repro.kir.function import Program
@@ -32,7 +24,6 @@ from repro.mem.memory import Memory
 from repro.mem.shadow import ShadowMemory
 from repro.mem.store_history import StoreHistory
 from repro.oemu.core import Oemu
-from repro.oemu.deps import DependencyTracker
 from repro.oemu.profiler import EngineCounters, Profiler
 from repro.oracles.assertions import Assertions
 from repro.oracles.fault import FaultOracle
@@ -73,9 +64,7 @@ class Machine:
         with_oemu: bool = True,
         profiler: Optional[Profiler] = None,
         kasan_enabled: bool = True,
-        track_deps: bool = False,
         trace: TraceSink = NULL_SINK,
-        decoded_dispatch: bool = True,
     ) -> None:
         self.program = program
         self.ncpus = ncpus
@@ -95,14 +84,13 @@ class Machine:
         self.fault_oracle = FaultOracle()
         self.lockdep = Lockdep()
         self.assertions = Assertions()
-        self.deps: Optional[DependencyTracker] = DependencyTracker() if track_deps else None
         self._kcov = None  # optional repro.fuzzer.kcov.KCov
         self.helpers: Dict[str, Callable] = {}
         #: Per-machine engine telemetry; multiprocess campaign workers
         #: report these (the module-global ENGINE_COUNTERS would silently
         #: drop increments made in worker processes).
         self.engine_counters = EngineCounters()
-        self.interp = Interpreter(self, decoded=decoded_dispatch)
+        self.interp = Interpreter(self)
         self._next_thread = 0
 
     # The interpreter hoists ``trace`` and ``kcov`` into its step loop,

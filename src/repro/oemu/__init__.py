@@ -7,7 +7,6 @@ from repro.oemu.barriers import (
     store_effect,
 )
 from repro.oemu.core import Oemu, OemuStats, ThreadState
-from repro.oemu.deps import DependencyEdge, DependencyTracker
 from repro.oemu.instrument import (
     InstrumentationReport,
     instrument_program,
@@ -24,9 +23,7 @@ from repro.oemu.profiler import (
 __all__ = [
     "AccessEvent",
     "BarrierEvent",
-    "DependencyEdge",
     "DependencyKind",
-    "DependencyTracker",
     "InstrumentationReport",
     "Oemu",
     "OemuStats",

@@ -1,47 +1,33 @@
-"""Register-provenance dependency tracking (paper Table 6, §10.1.2).
+"""Register-provenance dependency analysis (paper Table 6, §10.1.2).
 
-Tracks, per thread, which *load instructions* each register value derives
-from.  From that it derives the LKMM's three dependency kinds:
+:class:`StaticDeps` tracks, per function, which *load instructions*
+each register value may derive from.  From that it answers the LKMM's
+three dependency kinds:
 
 * **data**: a store's value derives from a load,
 * **address**: an access's base address derives from a load,
 * **control**: a store executes under a branch whose condition derives
   from a load.
 
-OEMU itself never reorders a load with a later store (Case 7 holds by
-construction) and discharges Case 6 through READ_ONCE window resets, so
-the tracker is not consulted on the hot path; it exists so tests and the
-litmus enumerator can *verify* those claims, and so crash reports can
-explain why a reordering was legal.
+OEMU never consults it: Case 7 (no load-store reordering) holds by
+construction and Case 6 through READ_ONCE window resets
+(:mod:`repro.oemu.lkmm`).  KIRA's barrier lint uses it to discharge
+Case 6 statically, and the Table 6 tests check each kind on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
-
-from repro.oemu.lkmm import DependencyKind
-
-
-@dataclass(frozen=True)
-class DependencyEdge:
-    """``later`` depends on the value loaded by ``load_inst``."""
-
-    load_inst: int
-    later_inst: int
-    kind: DependencyKind
+from typing import FrozenSet
 
 
 class StaticDeps(object):
     """Static (compile-time) register-provenance analysis.
 
-    The static counterpart of :class:`DependencyTracker`: instead of
-    observing an execution, it runs a forward dataflow over a function's
-    CFG whose facts are ``(register, load_index)`` pairs — "this
-    register's value may derive from the load at that instruction
-    index".  KIRA's barrier lint uses it to discharge ppo Case 6
-    (address dependency from an annotated load) without running the
-    program.
+    Runs a forward dataflow over a function's CFG whose facts are
+    ``(register, load_index)`` pairs — "this register's value may derive
+    from the load at that instruction index".  KIRA's barrier lint uses
+    it to discharge ppo Case 6 (address dependency from an annotated
+    load) without running the program.
 
     Destinations written by calls, helpers and atomics sever the taint
     (their results are not load-derived), which *under*-approximates
@@ -83,6 +69,29 @@ class StaticDeps(object):
             return False
         return (insn.src.name, load_index) in self.taint_before(store_index)
 
+    def control_dependency(self, load_index: int, store_index: int) -> bool:
+        """May the store run under a branch whose operands derive from
+        the load at ``load_index``?
+
+        A may-approximation: every such branch that can execute before
+        the store counts, even when the store sits past the branch's
+        join point and runs on both of its edges.
+        """
+        from repro.kir.insn import Branch, Reg, Store
+
+        cfg = self._cfg
+        insns = cfg.func.insns
+        if not isinstance(insns[store_index], Store):
+            return False
+        for index, insn in enumerate(insns):
+            if not isinstance(insn, Branch) or not cfg.reaches(index, store_index):
+                continue
+            taint = self.taint_before(index)
+            for op in (insn.lhs, insn.rhs):
+                if isinstance(op, Reg) and (op.name, load_index) in taint:
+                    return True
+        return False
+
 
 class _StaticTaintProblem(object):
     """Forward may-taint: facts are frozensets of (reg, load_index)."""
@@ -123,62 +132,3 @@ class _StaticTaintProblem(object):
             # load-derived: the taint is severed.
             return frozenset(p for p in fact if p[0] != written.name)
         return fact
-
-
-class DependencyTracker:
-    """Forward taint over one thread's register file.
-
-    The interpreter (when the tracker is attached) calls the ``on_*``
-    hooks as it executes; the tracker accumulates dependency edges.
-    """
-
-    def __init__(self) -> None:
-        self._taint: Dict[str, FrozenSet[int]] = {}
-        #: loads controlling the current control-flow path (approximate:
-        #: every branch taken so far taints subsequent stores).
-        self._control: Set[int] = set()
-        self.edges: List[DependencyEdge] = []
-
-    # -- taint propagation --------------------------------------------------
-
-    def taint_of(self, reg: Optional[str]) -> FrozenSet[int]:
-        if reg is None:
-            return frozenset()
-        return self._taint.get(reg, frozenset())
-
-    def on_load(self, inst_addr: int, dst: str, base_reg: Optional[str]) -> None:
-        for load in self.taint_of(base_reg):
-            self.edges.append(DependencyEdge(load, inst_addr, DependencyKind.ADDRESS))
-        self._taint[dst] = frozenset({inst_addr})
-
-    def on_store(self, inst_addr: int, src_reg: Optional[str], base_reg: Optional[str]) -> None:
-        for load in self.taint_of(src_reg):
-            self.edges.append(DependencyEdge(load, inst_addr, DependencyKind.DATA))
-        for load in self.taint_of(base_reg):
-            self.edges.append(DependencyEdge(load, inst_addr, DependencyKind.ADDRESS))
-        for load in self._control:
-            self.edges.append(DependencyEdge(load, inst_addr, DependencyKind.CONTROL))
-
-    def on_mov(self, dst: str, src_reg: Optional[str]) -> None:
-        self._taint[dst] = self.taint_of(src_reg)
-
-    def on_binop(self, dst: str, lhs_reg: Optional[str], rhs_reg: Optional[str]) -> None:
-        self._taint[dst] = self.taint_of(lhs_reg) | self.taint_of(rhs_reg)
-
-    def on_branch(self, lhs_reg: Optional[str], rhs_reg: Optional[str]) -> None:
-        self._control |= self.taint_of(lhs_reg) | self.taint_of(rhs_reg)
-
-    # -- queries -----------------------------------------------------------------
-
-    def edges_between(self, load_inst: int, later_inst: int) -> List[DependencyEdge]:
-        return [
-            e for e in self.edges if e.load_inst == load_inst and e.later_inst == later_inst
-        ]
-
-    def has_dependency(self, load_inst: int, later_inst: int, kind: DependencyKind) -> bool:
-        return any(e.kind is kind for e in self.edges_between(load_inst, later_inst))
-
-    def reset(self) -> None:
-        self._taint.clear()
-        self._control.clear()
-        self.edges.clear()

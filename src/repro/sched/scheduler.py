@@ -78,7 +78,7 @@ class CustomScheduler:
         under this schedule).
         """
         interp = self.interp
-        if breakpoint is None and interp.unobserved_decoded:
+        if breakpoint is None and interp.unobserved:
             # No breakpoint to watch for and nobody observes retirement:
             # the drain phase can run decoded closures directly instead
             # of paying the step() boundary per instruction.

@@ -15,15 +15,7 @@ store as ``event_index``.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
-try:  # pragma: no cover - typing.Protocol is 3.8+, but keep a soft fallback
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
+from typing import Iterable, List, Protocol, runtime_checkable
 
 from repro.trace.events import ExecEvent
 

@@ -1,15 +1,16 @@
-"""Engine-parametrized differential tests: every engine vs the reference.
+"""Engine-parametrized differential tests: each engine vs the reference oracle.
 
-Each test runs once per execution engine and compares that engine's
-observables — syscall return values, memory/shadow fingerprints, litmus
-outcomes, campaign stats, crash identity, replay verdicts, fuel/steps
-accounting and error messages — against a run on the reference engine.
-The ``decoded`` arm is the fast path's equivalence proof; the
-``reference`` arm is a determinism check, since two reference runs must
-agree too.  The module keeps the name it had while a third, compiled
-tier existed, so its test IDs stay stable.
+Each test runs once per engine and compares that engine's observables —
+syscall return values, memory/shadow fingerprints, litmus outcomes,
+campaign stats, crash identity, replay verdicts, fuel/steps accounting
+and error messages — against a run on the reference oracle
+(`tests/kir_reference.py`).  The ``decoded`` arm is the shipped engine's
+equivalence proof; the ``reference`` arm is a determinism check, since
+two oracle runs must agree too.  The module keeps the name it had while
+a third, compiled tier existed, so its test IDs stay stable.
 """
 
+import contextlib
 import os
 
 import pytest
@@ -28,22 +29,24 @@ from repro.machine import Machine
 from repro.mem.memory import DATA_BASE
 from repro.oemu.instrument import instrument_program
 from repro.trace.replayer import CrashArtifact, replay_artifact
+from tests.kir_reference import on_reference
 
 SAMPLE_CRASH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "examples", "sample_crash.json"
 )
 
-#: The engines under test; ``decoded`` is the default fast path.
+#: The engines under test: the oracle and the shipped decoded engine.
 TIERS = ("reference", "decoded")
 
 
-def _config(tier: str, **kw) -> KernelConfig:
-    return KernelConfig(decoded_dispatch=tier == "decoded", **kw)
+def _on(tier: str):
+    """Boot the machines constructed inside the block on ``tier``."""
+    return on_reference() if tier == "reference" else contextlib.nullcontext()
 
 
 @pytest.fixture(scope="module")
-def images():
-    return {tier: KernelImage(_config(tier, snapshot_reset=False)) for tier in TIERS}
+def image():
+    return KernelImage(KernelConfig(snapshot_reset=False))
 
 
 def _loop_program() -> Program:
@@ -62,14 +65,15 @@ def _loop_program() -> Program:
 
 
 class TestSeedInputs:
-    def test_syscall_observables_identical(self, images):
+    def test_syscall_observables_identical(self, image):
         """Every seed STI, run to completion on the unobserved fast path:
         same retvals, memory world, shadow world and clock under both
         engines."""
         for sti in seed_inputs():
             worlds = {}
             for tier in TIERS:
-                kernel = Kernel(images[tier])
+                with _on(tier):
+                    kernel = Kernel(image)
                 retvals = []
                 for call in sti.calls:
                     retvals.append(
@@ -92,9 +96,8 @@ class TestLitmus:
         program, _ = instrument_program(KirProgram(list(test.functions)))
 
         def run(tier):
-            m = Machine(
-                program, ncpus=len(test.functions), decoded_dispatch=tier == "decoded"
-            )
+            with _on(tier):
+                m = Machine(program, ncpus=len(test.functions))
             threads = [
                 m.spawn(f.name, cpu=idx) for idx, f in enumerate(test.functions)
             ]
@@ -116,42 +119,44 @@ class TestLitmus:
 class TestReplay:
     @pytest.mark.parametrize("tier", TIERS)
     def test_sample_crash_replays_under_every_tier(self, tier):
-        """The shipped artifact replays byte-for-byte whichever engine the
-        replay image is built with (replay verdicts diff the full event
-        schedule, so ``ok`` means byte-identical)."""
+        """The shipped artifact replays byte-for-byte on a fresh-booting
+        image whichever engine runs it (replay verdicts diff the full
+        event schedule, so ``ok`` means byte-identical)."""
         artifact = CrashArtifact.load(SAMPLE_CRASH)
-        verdict = replay_artifact(
-            artifact,
-            image=KernelImage(
-                _config(
-                    tier,
-                    patched=frozenset(artifact.reproducer.patched),
-                    snapshot_reset=False,
-                )
-            ),
-        )
+        with _on(tier):
+            verdict = replay_artifact(
+                artifact,
+                image=KernelImage(
+                    KernelConfig(
+                        patched=frozenset(artifact.reproducer.patched),
+                        snapshot_reset=False,
+                    )
+                ),
+            )
         assert verdict.ok, (tier, verdict.render())
 
 
 class TestCampaign:
     def test_stats_and_crashes_identical(self):
         """Same seed, same iteration count: the decoded campaign is
-        observationally equal to the reference campaign."""
+        observationally equal to the oracle's campaign."""
         results = {}
         for tier in TIERS:
-            fuzzer = OzzFuzzer(KernelImage(_config(tier)), seed=11)
-            stats = fuzzer.run(30)
+            with _on(tier):
+                fuzzer = OzzFuzzer(KernelImage(KernelConfig()), seed=11)
+                stats = fuzzer.run(30)
             results[tier] = (stats, frozenset(fuzzer.crashdb.unique_titles))
         assert results["decoded"] == results["reference"]
         assert results["reference"][0].tests_run > 0
 
 
 class TestErrorParity:
-    """Exceptions escaping the fast path must match the reference
-    byte-for-byte: type, message, and fuel/steps at the throw point."""
+    """Exceptions escaping an engine must match the oracle byte-for-byte:
+    type, message, and fuel/steps at the throw point."""
 
     def _run(self, program, entry, tier, *, args=(), fuel=10**9, kcov=None):
-        m = Machine(program, decoded_dispatch=tier == "decoded")
+        with _on(tier):
+            m = Machine(program)
         m.kcov = kcov
         thread = m.interp.spawn(entry, args, fuel=fuel)
         try:

@@ -1,12 +1,12 @@
-"""Differential tests: decoded dispatch vs the reference interpreter.
+"""Differential tests: the decoded engine vs the reference oracle.
 
-The decoded engine (`KernelConfig.decoded_dispatch`, default on) and the
-boot-snapshot reset (`snapshot_reset`) are pure optimizations — every
-observable (syscall return values, memory/shadow contents, profiler
-event streams, coverage, crash identity, ExecTrace event streams) must
-be identical to the reference isinstance-chain interpreter running on
-fresh-booted kernels.  These tests drive both engines over the same
-inputs and assert exactly that.
+The decoded closures (`repro.kir.decode`) and the boot-snapshot reset
+(`snapshot_reset`) are pure optimizations — every observable (syscall
+return values, memory/shadow contents, profiler event streams,
+coverage, crash identity, ExecTrace event streams) must be identical to
+the reference oracle (`tests/kir_reference.py`) running on fresh-booted
+kernels.  These tests drive both over the same inputs and assert exactly
+that; `tests/test_codegen_differential.py` adds the error paths.
 """
 
 import os
@@ -16,7 +16,7 @@ import pytest
 from repro.config import KernelConfig
 from repro.fuzzer.fuzzer import OzzFuzzer
 from repro.fuzzer.mti import run_mti
-from repro.fuzzer.sti import profile_sti
+from repro.fuzzer.sti import profile_sti, resolve_args
 from repro.fuzzer.templates import seed_inputs
 from repro.kernel.kernel import Kernel, KernelImage
 from repro.kir.function import Program
@@ -25,13 +25,15 @@ from repro.machine import Machine
 from repro.oemu.instrument import instrument_program
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replayer import CrashArtifact, replay_artifact
+from tests.kir_reference import on_reference
 
 SAMPLE_CRASH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "examples", "sample_crash.json"
 )
 
 DECODED = KernelConfig()  # engine optimizations are the defaults
-REFERENCE = KernelConfig(decoded_dispatch=False, snapshot_reset=False)
+#: The oracle's kernels boot fresh for every test.
+REFERENCE = KernelConfig(snapshot_reset=False)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +51,8 @@ class TestSeedInputs:
         """Every seed STI: same retvals, profiler events, coverage, crash."""
         for sti in seed_inputs():
             dec = profile_sti(decoded_image, sti)
-            ref = profile_sti(reference_image, sti)
+            with on_reference():
+                ref = profile_sti(reference_image, sti)
             assert dec.retvals == ref.retvals, sti
             assert dec.coverage == ref.coverage, sti
             assert (dec.crash is None) == (ref.crash is None), sti
@@ -66,20 +69,23 @@ class TestSeedInputs:
 
     def test_memory_state_identical(self, decoded_image, reference_image):
         """After each seed STI the kernels' memory worlds are equal."""
-        for sti in seed_inputs():
-            kernels = [Kernel(decoded_image), Kernel(reference_image)]
-            for kernel in kernels:
-                retvals = []
-                for call in sti.calls:
-                    from repro.fuzzer.sti import resolve_args
 
-                    retvals.append(
-                        kernel.run_syscall(call.name, resolve_args(call, retvals))
-                    )
-            dec, ref = kernels
-            assert dec.memory.fingerprint() == ref.memory.fingerprint(), sti
-            assert dec.shadow.fingerprint() == ref.shadow.fingerprint(), sti
-            assert dec.clock.now == ref.clock.now, sti
+        def world(image, sti):
+            kernel = Kernel(image)
+            retvals = []
+            for call in sti.calls:
+                retvals.append(kernel.run_syscall(call.name, resolve_args(call, retvals)))
+            return (
+                kernel.memory.fingerprint(),
+                kernel.shadow.fingerprint(),
+                kernel.clock.now,
+            )
+
+        for sti in seed_inputs():
+            dec = world(decoded_image, sti)
+            with on_reference():
+                ref = world(reference_image, sti)
+            assert dec == ref, sti
 
 
 class TestLitmus:
@@ -89,8 +95,8 @@ class TestLitmus:
         produces the same outcome tuple and final memory contents."""
         program, _ = instrument_program(Program(list(test.functions)))
 
-        def run(decoded):
-            m = Machine(program, ncpus=len(test.functions), decoded_dispatch=decoded)
+        def run():
+            m = Machine(program, ncpus=len(test.functions))
             threads = [
                 m.spawn(f.name, cpu=idx) for idx, f in enumerate(test.functions)
             ]
@@ -104,8 +110,9 @@ class TestLitmus:
                         pending.remove(thread)
             return tuple(t.retval for t in threads), m.memory.fingerprint()
 
-        dec_outcome, dec_mem = run(True)
-        ref_outcome, ref_mem = run(False)
+        dec_outcome, dec_mem = run()
+        with on_reference():
+            ref_outcome, ref_mem = run()
         assert dec_outcome == ref_outcome
         assert dec_mem == ref_mem
         assert dec_outcome in test.allowed
@@ -128,41 +135,47 @@ class TestTracedMTI:
         rec_dec = TraceRecorder()
         res_dec = run_mti(decoded_image, crash_artifact.mti, trace=rec_dec)
         rec_ref = TraceRecorder()
-        res_ref = run_mti(reference_image, crash_artifact.mti, trace=rec_ref)
+        with on_reference():
+            res_ref = run_mti(reference_image, crash_artifact.mti, trace=rec_ref)
         assert res_dec.crashed and res_ref.crashed
         assert res_dec.crash.title == res_ref.crash.title
         assert res_dec.steps == res_ref.steps
         assert rec_dec.schedule_dict()["events"] == rec_ref.schedule_dict()["events"]
 
     def test_sample_crash_replays_under_both_engines(self):
-        """PR 3's shipped artifact still replays byte-for-byte, decoded
-        (the artifact's own image — optimization defaults) and reference."""
+        """The shipped sample artifact still replays byte-for-byte, decoded
+        (the artifact's own image — optimization defaults) and on the
+        oracle (replay verdicts diff the full event schedule, so ``ok``
+        means byte-identical)."""
         artifact = CrashArtifact.load(SAMPLE_CRASH)
         decoded = replay_artifact(artifact)
         assert decoded.ok, decoded.render()
-        reference = replay_artifact(
-            artifact,
-            image=KernelImage(
-                KernelConfig(
-                    patched=frozenset(artifact.reproducer.patched),
-                    decoded_dispatch=False,
-                    snapshot_reset=False,
-                )
-            ),
-        )
+        with on_reference():
+            reference = replay_artifact(
+                artifact,
+                image=KernelImage(
+                    KernelConfig(
+                        patched=frozenset(artifact.reproducer.patched),
+                        snapshot_reset=False,
+                    )
+                ),
+            )
         assert reference.ok, reference.render()
 
 
 class TestCampaign:
     def test_stats_and_crashes_identical(self):
         """Same seed, same iteration count: the optimized engine's
-        campaign is observationally equal to the reference engine's."""
-        results = []
-        for config in (DECODED, REFERENCE):
+        campaign is observationally equal to the oracle's."""
+
+        def campaign(config):
             fuzzer = OzzFuzzer(KernelImage(config), seed=11)
             stats = fuzzer.run(30)
-            results.append((stats, frozenset(fuzzer.crashdb.unique_titles)))
-        (dec_stats, dec_titles), (ref_stats, ref_titles) = results
+            return stats, frozenset(fuzzer.crashdb.unique_titles)
+
+        dec_stats, dec_titles = campaign(DECODED)
+        with on_reference():
+            ref_stats, ref_titles = campaign(REFERENCE)
         assert dec_stats == ref_stats
         assert dec_titles == ref_titles
         assert dec_stats.tests_run > 0

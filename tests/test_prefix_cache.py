@@ -39,13 +39,17 @@ SAMPLE_CRASH = os.path.join(
 TIERS = ("reference", "decoded")
 
 
-def _image(tier, **changes):
-    return KernelImage(KernelConfig(decoded_dispatch=tier == "decoded", **changes))
+@pytest.fixture(params=TIERS)
+def tier(request):
+    """Run the test once on the reference oracle and once on the decoded engine."""
+    if request.param == "reference":
+        request.getfixturevalue("reference_engine")
+    return request.param
 
 
 @pytest.fixture(scope="module")
-def images():
-    return {tier: _image(tier) for tier in TIERS}
+def image():
+    return KernelImage(KernelConfig())
 
 
 def _world(kernel):
@@ -75,11 +79,9 @@ def _fresh_prefix_world(image, sti, prefix_len):
 
 
 class TestPositioningEquivalence:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_restored_prefix_matches_fresh_execution(self, images, tier):
+    def test_restored_prefix_matches_fresh_execution(self, image, tier):
         """Every prefix depth of the longest seed STI: cache-positioned
-        world and retvals == fresh sequential execution, per tier."""
-        image = images[tier]
+        world and retvals == fresh sequential execution, per engine."""
         sti = _longest_seed()
         assert len(sti) >= 3, "seed corpus lost its long STI"
         cache = PrefixCache(KernelPool(image), sti)
@@ -89,11 +91,9 @@ class TestPositioningEquivalence:
             assert _world(kernel) == fresh_world, (tier, depth)
             assert retvals == fresh_retvals, (tier, depth)
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_exact_hit_replays_identically(self, images, tier):
+    def test_exact_hit_replays_identically(self, image, tier):
         """Positioning twice at the same depth (2nd time via pure
         restore) yields the identical world — and counts a hit."""
-        image = images[tier]
         sti = _longest_seed()
         cache = PrefixCache(KernelPool(image), sti)
         depth = len(sti) - 1
@@ -105,10 +105,9 @@ class TestPositioningEquivalence:
         assert retvals1 == retvals2
         assert kernel.engine_counters.prefix_hits == hits_before + 1
 
-    def test_dirty_tracking_survives_restore_cycles(self, images):
+    def test_dirty_tracking_survives_restore_cycles(self, image):
         """boot → prefix → boot → prefix again: the delta overlay must
         re-mark pages dirty, or the second cycle restores a stale world."""
-        image = images["decoded"]
         sti = _longest_seed()
         pool = KernelPool(image)
         cache = PrefixCache(pool, sti)
@@ -119,10 +118,9 @@ class TestPositioningEquivalence:
         assert _world(kernel) == prefix_world
         assert _world(pool.acquire()) == boot_world
 
-    def test_longer_prefix_extends_deepest_cached(self, images):
+    def test_longer_prefix_extends_deepest_cached(self, image):
         """A deeper request executes only the missing calls and caches
         every level on the way up (contiguous snapshot tree)."""
-        image = images["decoded"]
         sti = _longest_seed()
         cache = PrefixCache(KernelPool(image), sti)
         cache.position(1)
@@ -135,8 +133,7 @@ class TestPositioningEquivalence:
 
 
 class TestPoisonedPrefix:
-    def test_failed_prefix_call_poisons_deeper_requests(self, images):
-        image = images["decoded"]
+    def test_failed_prefix_call_poisons_deeper_requests(self, image):
         sti = _longest_seed()
         pool = KernelPool(image)
         cache = PrefixCache(pool, sti)
@@ -164,14 +161,13 @@ class TestPoisonedPrefix:
 
 
 class TestCampaignEquivalence:
-    @pytest.mark.parametrize("tier", TIERS)
     def test_campaign_results_equal_cache_on_off(self, tier):
         """30-iteration campaigns, prefix cache on vs off, per engine:
         equal stats and crash titles, and the cached run is non-vacuous
         (prefix_hits > 0)."""
         results, kernels = {}, {}
         for prefix_cache in (True, False):
-            image = _image(tier, prefix_cache=prefix_cache)
+            image = KernelImage(KernelConfig(prefix_cache=prefix_cache))
             pool = KernelPool(image)
             fuzzer = OzzFuzzer(image, seed=9, pool=pool)
             stats = fuzzer.run(30)
@@ -183,7 +179,7 @@ class TestCampaignEquivalence:
         assert on.calls_skipped > 0
         assert off.prefix_hits == 0
         assert results[True][0].tests_run > 0
-        assert kernels[True].interp.unobserved_decoded is (tier == "decoded")
+        assert kernels[True].interp.unobserved is (tier == "decoded")
 
     def test_fuzzer_counters_flow_from_cache(self):
         """In-process campaign: module counters pick up hits/snapshots."""
