@@ -13,11 +13,15 @@ unions whole machine words at a time (one big-int ``|`` per touched
 page), serializes to a few KB of raw bytes, and supports the delta
 compression the campaign workers use on the wire
 (``benchmarks/bench_coverage_merge.py`` keeps the receipts).
+Checkpoints store the byte form compressed at zlib level 1
+(:meth:`CoverageMap.to_zlib`): a batch bitmap is mostly zero runs, so
+its 32 KB of hex shrink to a few hundred bytes.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Union
 
 #: Bits per bitmap page (2**13 = 8192 addresses -> 1 KiB big-int per page).
@@ -63,7 +67,7 @@ class CoverageMap:
 
     The type is the campaign coverage currency: the fuzzer's corpus
     admission (`merge`), the worker wire format (`delta` + `to_bytes`),
-    the checkpoint files (`to_hex`) and the cross-shard merge (`union`)
+    the checkpoint files (`to_zlib`) and the cross-shard merge (`union`)
     all speak it.
     """
 
@@ -190,22 +194,43 @@ class CoverageMap:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CoverageMap":
+        """Decode :meth:`to_bytes`; a malformed payload is a ValueError."""
         if raw[:4] != _WIRE_MAGIC:
             raise ValueError("not a CoverageMap byte payload")
-        (npages,) = struct.unpack_from("<I", raw, 4)
         pages: Dict[int, int] = {}
-        offset = 8
-        for _ in range(npages):
-            page, nbytes = struct.unpack_from("<QH", raw, offset)
-            offset += 10
-            bits = int.from_bytes(raw[offset:offset + nbytes], "little")
-            offset += nbytes
-            if bits:
-                pages[page] = bits
+        try:
+            (npages,) = struct.unpack_from("<I", raw, 4)
+            offset = 8
+            for _ in range(npages):
+                page, nbytes = struct.unpack_from("<QH", raw, offset)
+                offset += 10
+                if nbytes > _PAGE_BYTES or offset + nbytes > len(raw):
+                    raise ValueError(f"bad page run at byte {offset - 10}")
+                bits = int.from_bytes(raw[offset:offset + nbytes], "little")
+                offset += nbytes
+                if bits:
+                    pages[page] = bits
+        except struct.error as exc:
+            raise ValueError(f"truncated CoverageMap payload ({exc})") from None
+        if offset != len(raw):
+            raise ValueError(f"{len(raw) - offset} trailing bytes after CoverageMap")
         return cls(pages)
 
+    def to_zlib(self) -> bytes:
+        """The byte form compressed at zlib level 1, for checkpoints.
+
+        A batch's bitmap is mostly zero runs, so level 1 already shrinks
+        it about 70-fold; higher levels cost time for a few more bytes.
+        """
+        return zlib.compress(self.to_bytes(), 1)
+
+    @classmethod
+    def from_zlib(cls, raw: bytes) -> "CoverageMap":
+        """Decode :meth:`to_zlib`; damage raises ``zlib.error`` or ValueError."""
+        return cls.from_bytes(zlib.decompress(raw))
+
     def to_hex(self) -> str:
-        """Hex wire form, for JSON checkpoint payloads."""
+        """Hex of the byte form (uncompressed), for inspection."""
         return self.to_bytes().hex()
 
     @classmethod

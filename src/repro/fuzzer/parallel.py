@@ -16,9 +16,10 @@ results back into one :class:`~repro.campaign_api.CampaignResult`
 * **stats** — :meth:`FuzzStats.merge` (counter sums), with coverage
   recomputed from the word-wise union of batch
   :class:`~repro.fuzzer.kcov.CoverageMap` bitmaps,
-* **crashes** — :meth:`CrashDB.merge`, preserving first-finder
-  attribution (minimum tests-at-discovery across batches) so Table 3/4
-  numbers stay meaningful; merge order is canonicalized by batch index.
+* **crashes** — :meth:`CrashDB.merge_all`, one pass over every batch's
+  records, preserving first-finder attribution (minimum
+  tests-at-discovery across batches) so Table 3/4 numbers stay
+  meaningful; merge order is canonicalized by batch index.
 
 Process management lives in :mod:`repro.fuzzer.supervisor`: a persistent
 worker pool pulls batches from a shared queue with heartbeats,
@@ -30,8 +31,9 @@ in checkpoints.
 
 from __future__ import annotations
 
+import base64
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.config import KernelConfig
@@ -81,7 +83,7 @@ class ShardResult:
     coverage: CoverageMap
     seconds: float
     # Engine-counter deltas measured around this batch's run, in the
-    # process that actually ran it (empty in checkpoints that predate it).
+    # process that actually ran it (empty when a payload lacks the key).
     engine_counters: Dict[str, int] = field(default_factory=dict)
 
     # -- checkpoint serialization ------------------------------------------
@@ -89,30 +91,33 @@ class ShardResult:
     def to_json_dict(self) -> dict:
         """JSON-safe payload for the campaign checkpoint directory.
 
-        Coverage is stored as the CoverageMap hex wire form.
+        Coverage is stored as the base64 text of
+        :meth:`CoverageMap.to_zlib` (the ``CMB1`` bytes at zlib level 1).
         """
-        from dataclasses import asdict
-
         return {
             "shard": self.shard,
             "seed": self.seed,
             "iterations": self.iterations,
             "stats": asdict(self.stats),
             "crashdb": self.crashdb.to_json_dict(),
-            "coverage": self.coverage.to_hex(),
+            "coverage": base64.b64encode(self.coverage.to_zlib()).decode("ascii"),
             "seconds": self.seconds,
             "engine_counters": dict(self.engine_counters),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ShardResult":
+        """Decode :meth:`to_json_dict`.  Damage raises KeyError,
+        TypeError, AttributeError, ValueError or ``zlib.error``."""
         return cls(
             shard=payload["shard"],
             seed=payload["seed"],
             iterations=payload["iterations"],
             stats=FuzzStats(**payload["stats"]),
             crashdb=CrashDB.from_json_dict(payload["crashdb"]),
-            coverage=CoverageMap.from_hex(payload["coverage"]),
+            coverage=CoverageMap.from_zlib(
+                base64.b64decode(payload["coverage"], validate=True)
+            ),
             seconds=payload["seconds"],
             engine_counters=dict(payload.get("engine_counters", {})),
         )
@@ -206,18 +211,16 @@ def merge_shards(
     for s in shards:
         for key, value in getattr(s, "engine_counters", {}).items():
             merged_counters[key] = merged_counters.get(key, 0) + value
+    crashdb = CrashDB.merge_all(s.crashdb for s in shards)
     if shards:
         stats = shards[0].stats
-        crashdb = shards[0].crashdb
         merged_cov = shards[0].coverage.copy()
         for s in shards[1:]:
             stats = stats.merge(s.stats)
-            crashdb = crashdb.merge(s.crashdb)
             merged_cov.merge(s.coverage)
         stats = replace(stats, coverage=len(merged_cov))
     else:
         stats = FuzzStats()
-        crashdb = CrashDB()
     crashes = tuple(
         CrashSummary(
             title=rec.title,

@@ -81,11 +81,13 @@ class Reproducer:
 
     # -- serialization -----------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The v1 payload as a JSON-ready dict (see :meth:`to_json`)."""
+
         def arg(a):
             return {"ref": a.index} if isinstance(a, ResourceRef) else a
 
-        payload = {
+        return {
             "version": FORMAT_VERSION,
             "title": self.expected_title,
             "patched": list(self.patched),
@@ -103,11 +105,9 @@ class Reproducer:
                 "nreorder": self.hint.nreorder,
             },
         }
-        return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "Reproducer":
-        payload = json.loads(text)
+    def from_dict(cls, payload: dict) -> "Reproducer":
         if payload.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported reproducer version {payload.get('version')!r}")
 
@@ -133,6 +133,13 @@ class Reproducer:
             expected_title=payload["title"],
             patched=tuple(payload["patched"]),
         )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "Reproducer":
+        return cls.from_dict(json.loads(text))
 
     def describe(self, image: Optional[KernelImage] = None) -> str:
         """Human-readable summary, resolving addresses when possible."""

@@ -38,21 +38,24 @@ its current batch and ships only the new pages; the supervisor folds
 deltas into a per-batch accumulator.  Address sets never cross the
 queue as pickled Python sets.
 
-Checkpoint layout (all JSON, schema :data:`CHECKPOINT_VERSION`)::
+Checkpoint layout (all compact JSON, schema :data:`CHECKPOINT_VERSION`)::
 
     DIR/campaign.json     manifest: spec (with nested WorkerPolicy), the
                           claim log, completed batches, telemetry
     DIR/shard-000.json    one completed batch result (stats, crashdb,
-                          coverage bitmap hex)
+                          coverage as base64 of the zlib-compressed bitmap)
 
 Each ``shard-NNN.json`` is written once, when its batch finishes; only
-the manifest is rewritten.  Resume is **batch-granular**: completed
-batches load from disk; an unfinished batch re-runs from iteration 0
-with its re-derived seed, which reproduces exactly the prefix it had
-already executed — so a kill/resume cycle finds the same crash set as
-an uninterrupted run without having to serialize RNG or corpus state
-mid-stream.  Mid-run partial snapshots stay in memory: they serve only
-the partial merge of an interrupted campaign and are never written.
+the manifest is rewritten.  Files are encoded in one pass by the C JSON
+encoder (no indentation), and a crash record stores a schedule or
+reproducer it shares with its artifact once.  Resume is
+**batch-granular**: completed batches load from disk; an unfinished
+batch re-runs from iteration 0 with its re-derived seed, which
+reproduces exactly the prefix it had already executed — so a
+kill/resume cycle finds the same crash set as an uninterrupted run
+without having to serialize RNG or corpus state mid-stream.  Mid-run
+partial snapshots stay in memory: they serve only the partial merge of
+an interrupted campaign and are never written.
 
 Fault injection (tests, the CI resilience job) goes through
 :class:`FaultPlan` or the ``REPRO_INJECT_FAULT`` environment variable
@@ -71,6 +74,7 @@ import queue as _queue
 import signal
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -108,11 +112,16 @@ from repro.trace import (
 #: Worker deaths attributed to one iteration before it is quarantined.
 POISON_THRESHOLD = 2
 
-#: Version of the on-disk checkpoint schema (v2: nested WorkerPolicy,
-#: claim log in the manifest, coverage as bitmap hex).
-CHECKPOINT_VERSION = 2
+#: Version of the on-disk checkpoint schema (v3: compact JSON, coverage
+#: as base64 of the zlib-compressed bitmap, each crash record's shared
+#: schedule and reproducer stored once).
+CHECKPOINT_VERSION = 3
 CHECKPOINT_KIND = "ozz-campaign-checkpoint"
 MANIFEST_NAME = "campaign.json"
+
+#: Separators without whitespace; with no ``indent``, ``json.dumps``
+#: runs the C encoder.
+_COMPACT = (",", ":")
 
 #: Environment variable for CLI-level fault injection (CI resilience job).
 FAULT_ENV = "REPRO_INJECT_FAULT"
@@ -453,7 +462,7 @@ def write_checkpoint(
     """Persist campaign state; every write is atomic (tmp+rename).
 
     A finished batch's file is written the first time it is seen here
-    and never again; the manifest is rewritten on every call.  The v2
+    and never again; the manifest is rewritten on every call.  The
     manifest records the claim log (which worker ran which batch on
     which attempt) so a checkpoint is auditable evidence that results
     never depended on claim order.
@@ -467,7 +476,7 @@ def write_checkpoint(
         if not st.saved:
             _atomic_write(
                 _shard_file(dirpath, shard),
-                json.dumps(st.result.to_json_dict(), indent=2),
+                json.dumps(st.result.to_json_dict(), separators=_COMPACT),
             )
             st.saved = True
         completed.append(shard)
@@ -501,7 +510,9 @@ def write_checkpoint(
         ],
         "interrupted": interrupted,
     }
-    _atomic_write(os.path.join(dirpath, MANIFEST_NAME), json.dumps(manifest, indent=2))
+    _atomic_write(
+        os.path.join(dirpath, MANIFEST_NAME), json.dumps(manifest, separators=_COMPACT)
+    )
     if sink.active:
         sink.emit(CheckpointWritten(completed_shards=len(completed)))
 
@@ -510,11 +521,12 @@ def load_checkpoint(dirpath: str) -> CheckpointState:
     """Load a checkpoint directory written by a pooled campaign.
 
     Any damage — an undecodable file, a missing or mistyped key, a
-    listed batch file that is missing, a version other than
-    :data:`CHECKPOINT_VERSION` — raises one :class:`ConfigError` that
-    names the file.  The returned spec has ``checkpoint_dir`` pointed
-    back at ``dirpath`` so the resumed campaign keeps checkpointing in
-    place (directories move; the stored path is advisory).
+    listed batch file that is missing, corrupt compressed coverage, a
+    version other than :data:`CHECKPOINT_VERSION` (v2 directories
+    included) — raises one :class:`ConfigError` that names the file.
+    The returned spec has ``checkpoint_dir`` pointed back at ``dirpath``
+    so the resumed campaign keeps checkpointing in place (directories
+    move; the stored path is advisory).
     """
     path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(path):
@@ -545,7 +557,9 @@ def load_checkpoint(dirpath: str) -> CheckpointState:
         raise ConfigError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (
+        OSError, ValueError, TypeError, AttributeError, RecursionError, zlib.error
+    ) as exc:
         raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
     return state
 

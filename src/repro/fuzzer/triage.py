@@ -8,8 +8,8 @@ benchmarks can report which paper bugs were (re)found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional
 
 from repro.kernel import bugs
 from repro.oracles.report import CrashReport
@@ -28,12 +28,17 @@ class CrashRecord:
     artifact: object = None       # repro.trace.replayer.CrashArtifact
 
 
+#: Crash title -> seeded bug id.  The registry is complete once
+#: ``repro.kernel.bugs`` is imported, so the table is built once per
+#: process, not per database.
+_TITLE_TO_BUG: Dict[str, str] = {spec.title: spec.bug_id for spec in bugs.all_bugs()}
+
+
 class CrashDB:
     """Unique-crash database keyed by title."""
 
     def __init__(self) -> None:
         self.records: Dict[str, CrashRecord] = {}
-        self._title_to_bug = {spec.title: spec.bug_id for spec in bugs.all_bugs()}
 
     def add(self, report: CrashReport, test_index: int = 0) -> CrashRecord:
         record = self.records.get(report.title)
@@ -42,95 +47,120 @@ class CrashDB:
                 title=report.title,
                 first_report=report,
                 first_test_index=test_index,
-                bug_id=self._title_to_bug.get(report.title),
+                bug_id=_TITLE_TO_BUG.get(report.title),
             )
             self.records[report.title] = record
         else:
             record.count += 1
         return record
 
-    def merge(self, other: "CrashDB") -> "CrashDB":
-        """Combine two shards' crash databases into a new one.
+    @classmethod
+    def merge_all(cls, dbs: Iterable["CrashDB"]) -> "CrashDB":
+        """Combine shards' crash databases, in order, into a new one.
 
-        Pure and associative: occurrence counts sum, and first-finder
-        attribution is preserved — the merged record keeps the *minimum*
-        ``first_test_index`` across shards (ties break toward ``self``),
-        along with that finder's report, so Table 3/4 tests-to-trigger
-        numbers stay meaningful after a sharded campaign.
+        One pass over every record.  Occurrence counts sum, and
+        first-finder attribution is preserved: the merged record is the
+        one with the *minimum* ``first_test_index`` (ties break toward
+        the earlier database), so Table 3/4 tests-to-trigger numbers stay
+        meaningful after a sharded campaign.  When the winning record has
+        no reproducer or artifact, it keeps the one merged so far (or
+        takes the loser's).  The inputs are left untouched.
         """
-        out = CrashDB()
-        for db in (self, other):
+        out = cls()
+        merged = out.records
+        for db in dbs:
             for title, rec in db.records.items():
-                cur = out.records.get(title)
+                cur = merged.get(title)
                 if cur is None:
-                    out.records[title] = replace(rec)
-                    continue
-                first = cur if cur.first_test_index <= rec.first_test_index else rec
-                merged = replace(first, count=cur.count + rec.count)
-                if merged.reproducer is None:
-                    merged.reproducer = cur.reproducer or rec.reproducer
-                if merged.artifact is None:
-                    merged.artifact = cur.artifact or rec.artifact
-                out.records[title] = merged
+                    merged[title] = replace(rec)
+                elif rec.first_test_index < cur.first_test_index:
+                    merged[title] = replace(
+                        rec,
+                        count=cur.count + rec.count,
+                        reproducer=(
+                            cur.reproducer if rec.reproducer is None else rec.reproducer
+                        ),
+                        artifact=cur.artifact if rec.artifact is None else rec.artifact,
+                    )
+                else:
+                    cur.count += rec.count
+                    if cur.reproducer is None:
+                        cur.reproducer = rec.reproducer
+                    if cur.artifact is None:
+                        cur.artifact = rec.artifact
         return out
+
+    def merge(self, other: "CrashDB") -> "CrashDB":
+        """``merge_all((self, other))``: pure and associative."""
+        return CrashDB.merge_all((self, other))
 
     # -- checkpoint serialization ------------------------------------------
 
     def to_json_dict(self) -> dict:
         """JSON-safe payload for campaign checkpoints.
 
-        Reproducers and schedule artifacts reuse their own v1 JSON
-        payloads, so a crash database survives a supervisor restart with
-        its replay material intact.
+        Each record stores its report, reproducer and schedule artifact
+        (reproducer and artifact through their ``to_dict`` payloads), so
+        a crash database survives a supervisor restart with its replay
+        material intact.  What a record shares is stored once: a report
+        whose schedule *is* its artifact's omits it
+        (``"shares_schedule"``), and an artifact whose reproducer equals
+        the record's omits that (``"shares_reproducer"``);
+        :meth:`from_json_dict` links both back to one object.
         """
-        import json
-
         records = []
         for title in self.unique_titles:
             rec = self.records[title]
+            report = rec.first_report.to_dict()
+            artifact = None
+            shares_schedule = shares_reproducer = False
+            if rec.artifact is not None:
+                artifact = rec.artifact.to_dict()
+                if rec.first_report.schedule is rec.artifact.schedule:
+                    shares_schedule = True
+                    report["schedule"] = None
+                if rec.reproducer is not None and rec.reproducer == rec.artifact.reproducer:
+                    shares_reproducer = True
+                    artifact["reproducer"] = None
             records.append(
                 {
                     "title": rec.title,
                     "count": rec.count,
                     "first_test_index": rec.first_test_index,
                     "bug_id": rec.bug_id,
-                    "first_report": rec.first_report.to_dict(),
+                    "first_report": report,
                     "reproducer": (
-                        json.loads(rec.reproducer.to_json())
-                        if rec.reproducer is not None
-                        else None
+                        rec.reproducer.to_dict() if rec.reproducer is not None else None
                     ),
-                    "artifact": (
-                        json.loads(rec.artifact.to_json())
-                        if rec.artifact is not None
-                        else None
-                    ),
+                    "artifact": artifact,
+                    "shares_schedule": shares_schedule,
+                    "shares_reproducer": shares_reproducer,
                 }
             )
         return {"records": records}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CrashDB":
-        import json
+        # Lazy imports: the reproducer pulls in the kernel layers.
+        from repro.fuzzer.reproducer import Reproducer
+        from repro.trace.replayer import CrashArtifact
 
         db = cls()
-        for r in payload.get("records", ()):
+        for r in payload["records"]:
             rec = CrashRecord(
                 title=r["title"],
                 first_report=CrashReport.from_dict(r["first_report"]),
                 count=r["count"],
                 first_test_index=r["first_test_index"],
-                bug_id=r.get("bug_id"),
+                bug_id=r["bug_id"],
             )
-            if r.get("reproducer") is not None:
-                # Lazy import: the reproducer pulls in the kernel layers.
-                from repro.fuzzer.reproducer import Reproducer
-
-                rec.reproducer = Reproducer.from_json(json.dumps(r["reproducer"]))
-            if r.get("artifact") is not None:
-                from repro.trace.replayer import CrashArtifact
-
-                rec.artifact = CrashArtifact.from_json(json.dumps(r["artifact"]))
+            if r["reproducer"] is not None:
+                rec.reproducer = Reproducer.from_dict(r["reproducer"])
+            if r["artifact"] is not None:
+                shared = rec.reproducer if r["shares_reproducer"] else None
+                rec.artifact = CrashArtifact.from_dict(r["artifact"], shared)
+                if r["shares_schedule"]:
+                    rec.first_report.schedule = rec.artifact.schedule
             db.records[rec.title] = rec
         return db
 

@@ -84,11 +84,15 @@ class CrashArtifact:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The schema v1 payload as a JSON-ready dict.
+
+        The schedule is the artifact's own dict, not a copy.
+        """
+        return {
             "version": SCHEMA_VERSION,
             "kind": ARTIFACT_KIND,
-            "reproducer": json.loads(self.reproducer.to_json()),
+            "reproducer": self.reproducer.to_dict(),
             "crash": {
                 "title": self.title,
                 "oracle": self.oracle,
@@ -101,14 +105,17 @@ class CrashArtifact:
             },
             "schedule": self.schedule,
         }
-        return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "CrashArtifact":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"not a crash artifact: invalid JSON ({exc})")
+    def from_dict(
+        cls, payload: object, reproducer: Optional[Reproducer] = None
+    ) -> "CrashArtifact":
+        """Decode a :meth:`to_dict` payload; every defect is an ArtifactError.
+
+        ``reproducer``, when given, is used instead of decoding
+        ``payload["reproducer"]`` (a campaign checkpoint stores a crash
+        record's reproducer once and links its artifact to it).
+        """
         if not isinstance(payload, dict):
             raise ArtifactError(
                 "not a crash artifact: expected a JSON object, got "
@@ -132,8 +139,10 @@ class CrashArtifact:
             )
         try:
             crash = payload["crash"]
+            if reproducer is None:
+                reproducer = Reproducer.from_dict(payload["reproducer"])
             return cls(
-                reproducer=Reproducer.from_json(json.dumps(payload["reproducer"])),
+                reproducer=reproducer,
                 title=crash["title"],
                 oracle=crash["oracle"],
                 function=crash["function"],
@@ -144,8 +153,6 @@ class CrashArtifact:
                 barrier_test=crash["barrier_test"],
                 schedule=payload["schedule"],
             )
-        except ArtifactError:
-            raise
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             # A malformed field inside an otherwise well-versioned
             # payload: name the offender instead of tracebacking.
@@ -153,6 +160,17 @@ class CrashArtifact:
                 f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             )
             raise ArtifactError(f"malformed crash artifact: {detail}")
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "CrashArtifact":
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"not a crash artifact: invalid JSON ({exc})")
+        return cls.from_dict(payload)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -94,37 +94,65 @@ class Spec(NamedTuple):
 
 
 # -- strategies ---------------------------------------------------------------
+#
+# Most draws build programs that run: registers are defined, accesses
+# stay in bounds and icalls reach a function with its arity.  One
+# statement in FAULT_ODDS is drawn from ``faulty_statements`` instead, so
+# a typical run retires dozens of instructions before the first fault
+# ends it, and every kind of fault still shows up.
 
-regs = st.sampled_from(REGS * 4 + PARAMS + (GHOST,))
+
+def rarely(common, rare, one_in):
+    """``rare`` in one draw of ``one_in``, ``common`` in the others.
+
+    The pick is a ``sampled_from`` index, which Hypothesis draws about
+    uniformly; a bounded ``integers`` draw lands on its bounds several
+    times more often than that.  The shrinker moves picks toward index
+    0, the common side.
+    """
+    return st.sampled_from(range(one_in)).flatmap(
+        lambda pick: rare if pick == one_in - 1 else common
+    )
+
+
+FAULT_ODDS = 16
+
+#: Reads that may be undefined: a parameter the function may lack, or
+#: the never-written ghost.
+risky_regs = st.sampled_from(PARAMS + (GHOST,))
+regs = rarely(st.sampled_from(REGS), risky_regs, 48)
 dsts = st.sampled_from(REGS + PARAMS)
 imms = st.sampled_from(IMMEDIATES) | st.integers(0, MASK64)
 operands = regs | imms
-#: Six accesses in eight stay in bounds.  The rest go through a
-#: register (a pointer, or garbage that faults), or hit the NULL page,
-#: an unmapped hole, unallocated heap (KASAN), or the end of the data
-#: region.
-addresses = st.integers(0, 7).flatmap(
-    lambda pick: st.tuples(st.just(DATA_BASE), st.integers(0, 0x60))
-    if pick < 6
-    else st.tuples(regs, st.integers(0, 0x20))
-    if pick == 6
-    else st.tuples(
-        st.sampled_from((0, 0x10_0000, HEAP_BASE, DATA_BASE + DATA_SIZE - 4)),
-        st.integers(0, 8),
-    )
+#: Accesses meet on a few hot words most of the time, so loads, stores
+#: and atomics overlap where OEMU delays and versions them.
+addresses = st.tuples(st.just(DATA_BASE), st.sampled_from((0, 4, 8, 0x10, 0x18)) | st.integers(0, 0x60))
+#: Through a register (a pointer, or garbage that faults), or at the
+#: NULL page, an unmapped hole, unallocated heap (KASAN), or the end of
+#: the data region.
+faulting_addresses = st.tuples(regs, st.integers(0, 0x20)) | st.tuples(
+    st.sampled_from((0, 0x10_0000, HEAP_BASE, DATA_BASE + DATA_SIZE - 4)),
+    st.integers(0, 8),
+)
+#: Addresses the memory check itself rejects (KASAN runs later).
+unmapped_addresses = st.tuples(
+    st.sampled_from((0, 0x10_0000, DATA_BASE + DATA_SIZE - 4)), st.integers(1, 8)
 )
 #: Comparisons differ only at their boundary, so half of all operand
 #: pairs compare equal.
 operand_pairs = operands.flatmap(lambda lhs: st.tuples(st.just(lhs), st.just(lhs) | operands))
 sizes = st.sampled_from(ACCESS_SIZES)
+annots = st.sampled_from(Annot)
 #: Mostly forward: a backward branch on a register may loop until the
 #: fuel runs out, which a few examples should do and most should not.
+#: A backward jump always does, so it is rarer still.
 backward = st.sampled_from((False, False, False, True))
+backward_jump = rarely(st.just(False), st.just(True), FAULT_ODDS)
 BIT_OPS = (AtomicOp.TEST_AND_SET_BIT, AtomicOp.SET_BIT, AtomicOp.CLEAR_BIT)
 
 
 @st.composite
-def atomics(draw):
+def atomics(draw, where=addresses):
     op = draw(st.sampled_from(AtomicOp))
     # Bit numbers stay below 64: ``1 << operand`` on a 64-bit register
     # value would build an enormous Python int.
@@ -133,58 +161,74 @@ def atomics(draw):
     if op is AtomicOp.CMPXCHG:
         expected = draw(st.none() | operands | operands)
     return (
-        "atomic", op, draw(addresses), operand, expected,
+        "atomic", op, draw(where), operand, expected,
         draw(st.sampled_from(AtomicOrdering)), draw(sizes), draw(st.none() | dsts),
     )
 
 
 helpers = st.one_of(
     st.tuples(st.just("helper"), st.just("kzalloc"), st.tuples(st.sampled_from((8, 24, 64))), dsts),
-    st.tuples(st.just("helper"), st.just("kfree"), st.tuples(regs), st.none()),
     st.tuples(st.just("helper"), st.just("spin_lock"), st.just((LOCK,)), st.none()),
-    st.tuples(st.just("helper"), st.just("spin_unlock"), st.just((LOCK,)), st.none()),
-    st.tuples(st.just("helper"), st.just("bug_on"), st.tuples(st.just(0) | regs), st.none()),
-    st.tuples(st.just("helper"), st.just("no_such_helper"), st.just(()), dsts),
+    st.tuples(st.just("helper"), st.just("bug_on"), st.just((0,)), st.none()),
 )
 
 plain_statements = st.one_of(
     st.tuples(st.just("mov"), dsts, operands),
     st.tuples(st.just("binop"), st.sampled_from(BinOpKind), dsts, operand_pairs),
-    st.tuples(st.just("load"), dsts, addresses, sizes, st.sampled_from(Annot)),
-    st.tuples(st.just("store"), addresses, operands, sizes, st.sampled_from(Annot)),
+    st.tuples(st.just("load"), dsts, addresses, sizes, annots),
+    st.tuples(st.just("store"), addresses, operands, sizes, annots),
     st.tuples(st.just("barrier"), st.sampled_from(BarrierKind)),
     atomics(),
     st.tuples(st.just("call"), st.integers(0, 2), st.tuples(operands, operands), st.none() | dsts),
+    st.tuples(st.just("icall_to"), st.integers(0, 2), st.tuples(operands, operands), st.none() | dsts),
     st.just(("nop",)),
 )
-#: One statement in six calls a helper: most helper calls end the run.
-simple_statements = st.integers(0, 5).flatmap(
-    lambda pick: helpers if pick == 5 else plain_statements
-)
 
-statements = st.one_of(
-    simple_statements,
-    st.tuples(st.just("branch"), st.sampled_from(Cond), operand_pairs, backward, st.integers(0, 4)),
-    st.tuples(st.just("jump"), backward, st.integers(0, 4)),
+#: Each of these may end the run: an undefined read, a faulting
+#: access, a bad icall target or arity, or a helper that crashes or does
+#: not exist.  A store reads its source before its address is checked,
+#: so an undefined source stored to an unmapped address must fail on
+#: the source.
+faulty_statements = st.one_of(
+    st.tuples(st.just("store"), unmapped_addresses, st.just(GHOST) | risky_regs, sizes, annots),
+    st.tuples(st.just("store"), faulting_addresses, operands, sizes, annots),
+    st.tuples(st.just("load"), dsts, faulting_addresses, sizes, annots),
+    atomics(faulting_addresses),
+    st.tuples(st.just("mov"), dsts, risky_regs),
     st.tuples(
         st.just("icall"),
         st.sampled_from(IMMEDIATES[-4:]) | regs,
         st.lists(operands, max_size=2).map(tuple),
         st.none() | dsts,
     ),
-    st.tuples(
-        st.just("loop"), st.integers(1, 4), st.lists(simple_statements, min_size=1, max_size=3).map(tuple)
-    ),
+    st.tuples(st.just("helper"), st.just("kfree"), st.tuples(regs), st.none()),
+    st.tuples(st.just("helper"), st.just("spin_unlock"), st.just((LOCK,)), st.none()),
+    st.tuples(st.just("helper"), st.just("bug_on"), st.tuples(regs), st.none()),
+    st.tuples(st.just("helper"), st.just("no_such_helper"), st.just(()), dsts),
+)
+simple_statements = rarely(rarely(plain_statements, helpers, 6), faulty_statements, FAULT_ODDS)
+
+loops = st.tuples(
+    st.just("loop"),
+    st.sampled_from(range(1, 11)),
+    st.lists(simple_statements, min_size=1, max_size=4).map(tuple),
+)
+#: Loops come first, so the simplest program Hypothesis draws (and
+#: shrinks toward) is a run of loops, not of movs.
+statements = st.one_of(
+    loops,
+    simple_statements,
+    loops,
+    st.tuples(st.just("branch"), st.sampled_from(Cond), operand_pairs, backward, st.integers(0, 4)),
+    st.tuples(st.just("jump"), backward_jump, st.integers(0, 4)),
 )
 
-#: A pool register starts undefined one time in eight.
-initial_values = st.tuples(st.integers(0, 7), st.sampled_from(IMMEDIATES)).map(
-    lambda pick: None if pick[0] == 7 else pick[1]
-)
+#: A pool register starts undefined one time in 32.
+initial_values = rarely(st.sampled_from(IMMEDIATES), st.none(), 32)
 functions = st.tuples(
     st.integers(0, 2),
     st.tuples(*[initial_values] * len(REGS)),
-    st.lists(statements, max_size=10).map(tuple),
+    st.lists(statements, min_size=6, max_size=14).map(tuple),
     st.none() | operands,
 )
 
@@ -240,8 +284,11 @@ def _emit(b: Builder, stmt, index: int, labels, nfuncs: int, nparams) -> None:
             b.call_void(f"f{callee}", *args)
         else:
             b.call(f"f{callee}", *args, dst=stmt[3])
-    elif kind == "icall":
+    elif kind in ("icall", "icall_to"):
         _, target, args, dst = stmt
+        if kind == "icall_to":  # through a pointer to a function, with its arity
+            callee = target % nfuncs
+            target, args = _func_addr(callee), args[: nparams[callee]]
         b.emit(
             ICall(
                 target=as_operand(target),

@@ -46,7 +46,8 @@ def small_spec(**overrides):
 
 
 def manifest_text(drop=(), **overrides):
-    """A hand-written v2 manifest (no batch completed unless overridden)."""
+    """A hand-written manifest of the current version (no batch completed
+    unless overridden)."""
     manifest = {
         "version": CHECKPOINT_VERSION,
         "kind": "ozz-campaign-checkpoint",
@@ -71,7 +72,10 @@ DAMAGED_CHECKPOINTS = {
     "other-kind": ({MANIFEST_NAME: '{"kind": "something-else"}'}, MANIFEST_NAME),
     "not-an-object": ({MANIFEST_NAME: "[1, 2]"}, MANIFEST_NAME),
     "version-1": ({MANIFEST_NAME: manifest_text(version=1)}, MANIFEST_NAME),
-    "future-version": ({MANIFEST_NAME: manifest_text(version=3)}, MANIFEST_NAME),
+    "version-2": ({MANIFEST_NAME: manifest_text(version=2)}, MANIFEST_NAME),
+    "future-version": (
+        {MANIFEST_NAME: manifest_text(version=CHECKPOINT_VERSION + 1)}, MANIFEST_NAME
+    ),
     "truncated-manifest": ({MANIFEST_NAME: manifest_text()[:60]}, MANIFEST_NAME),
     "no-spec": ({MANIFEST_NAME: manifest_text(drop=("spec",))}, MANIFEST_NAME),
     "no-completed": ({MANIFEST_NAME: manifest_text(drop=("completed",))}, MANIFEST_NAME),

@@ -36,6 +36,7 @@ from repro.errors import ConfigError
 from repro.fuzzer import supervisor
 from repro.fuzzer.parallel import merge_shards, run_batch
 from repro.fuzzer.supervisor import (
+    CHECKPOINT_VERSION,
     MANIFEST_NAME,
     FaultPlan,
     load_checkpoint,
@@ -233,10 +234,10 @@ class TestWriteOnceCheckpoint:
         assert count_writes == {MANIFEST_NAME: 1}
 
     def test_resume_from_earlier_layout(self, tmp_path):
-        """A directory written before batch files became write-once: the
-        manifest carries ``plan`` and ``partials`` and an unfinished
-        batch left a ``partial-NNN.json``.  It resumes to the clean
-        result; the extra keys and the stray file are ignored."""
+        """A manifest that also carries the ``plan`` and ``partials`` keys
+        of the layout before batch files became write-once, next to a
+        stray ``partial-NNN.json``.  It resumes to the clean result; the
+        extra keys and the stray file are ignored."""
         d = str(tmp_path / "ckpt")
         spec = CampaignSpec(
             iterations=8,
@@ -282,7 +283,7 @@ class TestManifestV2:
         run_supervised(spec)
         with open(os.path.join(d, MANIFEST_NAME)) as fh:
             manifest = json.load(fh)
-        assert manifest["version"] == 2
+        assert manifest["version"] == CHECKPOINT_VERSION
         plan = spec.batches()
         ran = {a["batch"] for a in manifest["assignments"]}
         assert ran == {b.index for b in plan}
