@@ -13,13 +13,14 @@ unions whole machine words at a time (one big-int ``|`` per touched
 page), serializes to a few KB of raw bytes, and supports the delta
 compression the campaign workers use on the wire
 (``benchmarks/bench_coverage_merge.py`` keeps the receipts).
-Checkpoints store the byte form compressed at zlib level 1
-(:meth:`CoverageMap.to_zlib`): a batch bitmap is mostly zero runs, so
-its 32 KB of hex shrink to a few hundred bytes.
+Checkpoints store the byte form compressed at zlib level 1 and
+base64-encoded (:meth:`CoverageMap.to_text`): a batch bitmap is mostly
+zero runs, so its 32 KB of hex shrink to a few hundred bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import struct
 import zlib
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Union
@@ -67,7 +68,7 @@ class CoverageMap:
 
     The type is the campaign coverage currency: the fuzzer's corpus
     admission (`merge`), the worker wire format (`delta` + `to_bytes`),
-    the checkpoint files (`to_zlib`) and the cross-shard merge (`union`)
+    the checkpoint files (`to_text`) and the cross-shard merge (`union`)
     all speak it.
     """
 
@@ -216,26 +217,22 @@ class CoverageMap:
             raise ValueError(f"{len(raw) - offset} trailing bytes after CoverageMap")
         return cls(pages)
 
-    def to_zlib(self) -> bytes:
-        """The byte form compressed at zlib level 1, for checkpoints.
+    def to_text(self) -> str:
+        """Checkpoint text form: base64 of the byte form at zlib level 1.
 
         A batch's bitmap is mostly zero runs, so level 1 already shrinks
         it about 70-fold; higher levels cost time for a few more bytes.
         """
-        return zlib.compress(self.to_bytes(), 1)
+        return base64.b64encode(zlib.compress(self.to_bytes(), 1)).decode("ascii")
 
     @classmethod
-    def from_zlib(cls, raw: bytes) -> "CoverageMap":
-        """Decode :meth:`to_zlib`; damage raises ``zlib.error`` or ValueError."""
-        return cls.from_bytes(zlib.decompress(raw))
-
-    def to_hex(self) -> str:
-        """Hex of the byte form (uncompressed), for inspection."""
-        return self.to_bytes().hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "CoverageMap":
-        return cls.from_bytes(bytes.fromhex(text))
+    def from_text(cls, text: str) -> "CoverageMap":
+        """Decode :meth:`to_text`; a malformed payload is a ValueError."""
+        try:
+            raw = zlib.decompress(base64.b64decode(text, validate=True))
+        except zlib.error as exc:
+            raise ValueError(f"corrupt compressed CoverageMap ({exc})") from None
+        return cls.from_bytes(raw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CoverageMap(<{len(self)} addrs, {len(self._pages)} pages>)"

@@ -31,7 +31,6 @@ in checkpoints.
 
 from __future__ import annotations
 
-import base64
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
@@ -91,8 +90,8 @@ class ShardResult:
     def to_json_dict(self) -> dict:
         """JSON-safe payload for the campaign checkpoint directory.
 
-        Coverage is stored as the base64 text of
-        :meth:`CoverageMap.to_zlib` (the ``CMB1`` bytes at zlib level 1).
+        Coverage is stored as :meth:`CoverageMap.to_text` (base64 of the
+        ``CMB1`` bytes at zlib level 1).
         """
         return {
             "shard": self.shard,
@@ -100,7 +99,7 @@ class ShardResult:
             "iterations": self.iterations,
             "stats": asdict(self.stats),
             "crashdb": self.crashdb.to_json_dict(),
-            "coverage": base64.b64encode(self.coverage.to_zlib()).decode("ascii"),
+            "coverage": self.coverage.to_text(),
             "seconds": self.seconds,
             "engine_counters": dict(self.engine_counters),
         }
@@ -108,16 +107,14 @@ class ShardResult:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ShardResult":
         """Decode :meth:`to_json_dict`.  Damage raises KeyError,
-        TypeError, AttributeError, ValueError or ``zlib.error``."""
+        TypeError, AttributeError or ValueError."""
         return cls(
             shard=payload["shard"],
             seed=payload["seed"],
             iterations=payload["iterations"],
             stats=FuzzStats(**payload["stats"]),
             crashdb=CrashDB.from_json_dict(payload["crashdb"]),
-            coverage=CoverageMap.from_zlib(
-                base64.b64decode(payload["coverage"], validate=True)
-            ),
+            coverage=CoverageMap.from_text(payload["coverage"]),
             seconds=payload["seconds"],
             engine_counters=dict(payload.get("engine_counters", {})),
         )

@@ -74,7 +74,6 @@ import queue as _queue
 import signal
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -557,9 +556,7 @@ def load_checkpoint(dirpath: str) -> CheckpointState:
         raise ConfigError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (
-        OSError, ValueError, TypeError, AttributeError, RecursionError, zlib.error
-    ) as exc:
+    except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
     return state
 

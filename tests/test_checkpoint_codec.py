@@ -8,9 +8,10 @@ empty and multi-page coverage.  Each must survive
 schedule identity restored.  ``CrashDB.merge_all`` is checked against the
 pairwise fold it replaced, kept here as the reference.  Damaged input —
 random bytes, a real batch file truncated anywhere, flipped bytes in the
-compressed coverage, a v2 directory — must raise ``ConfigError`` and
-nothing else (a flip that deflate decodes to the same bytes may load the
-same coverage instead).
+compressed coverage, a well-formed zlib stream of a malformed bitmap —
+must raise ``ConfigError`` and nothing else (a flip that deflate decodes
+to the same bytes may load the same coverage instead).  A v2 directory
+is the ``version-2`` case of ``tests/test_supervisor.py``.
 """
 
 import base64
@@ -19,6 +20,7 @@ import functools
 import json
 import os
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -361,19 +363,15 @@ class TestDamage:
                 harmless += 1
         assert harmless < len(packed) // 20
 
-    def test_v2_directory(self, real_checkpoint, tmp_path):
-        """A directory in the v2 layout: indented JSON, hex coverage."""
+    def test_malformed_bitmap_in_valid_zlib(self, real_checkpoint, tmp_path):
+        """Coverage that decompresses cleanly to a malformed bitmap — cut
+        inside its last page run, or with a trailing byte — is damage."""
         real, result = real_checkpoint
-        with open(os.path.join(real, supervisor.MANIFEST_NAME)) as fh:
-            manifest = json.load(fh)
         with open(shard_path(real)) as fh:
             payload = json.load(fh)
-        manifest["version"] = 2
-        payload["coverage"] = result.coverage.to_hex()
-        d = str(tmp_path / "v2")
-        damaged_copy(real, d, json.dumps(payload, indent=2).encode())
-        with open(os.path.join(d, supervisor.MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, indent=2)
-        expect_config_error(d, supervisor.MANIFEST_NAME)
-        with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
-            supervisor.load_checkpoint(d)
+        raw = result.coverage.to_bytes()
+        for name, bad in (("cut", raw[:-1]), ("trailing", raw + b"\x00")):
+            payload["coverage"] = base64.b64encode(zlib.compress(bad, 1)).decode("ascii")
+            d = str(tmp_path / name)
+            damaged_copy(real, d, json.dumps(payload).encode())
+            expect_config_error(d, "shard-000.json")

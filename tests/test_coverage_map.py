@@ -12,11 +12,14 @@ supervisor relies on:
   supervisor reconstructs the worker's full map.
 """
 
+import base64
 import random
+import struct
+import zlib
 
 import pytest
 
-from repro.fuzzer.kcov import CoverageMap
+from repro.fuzzer.kcov import _PAGE_BYTES, CoverageMap
 
 # Address sets shaped like the things campaigns actually produce: dense
 # instruction runs, page-boundary stragglers, and a tiny sparse set.
@@ -126,8 +129,9 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_hex_roundtrip(self, name):
+        """The checkpoint text form (base64 of zlib) round-trips."""
         m = CoverageMap.from_addrs(CASES[name])
-        assert CoverageMap.from_hex(m.to_hex()) == m
+        assert CoverageMap.from_text(m.to_text()) == m
 
     def test_random_roundtrip_property(self):
         rng = random.Random(17)
@@ -149,3 +153,38 @@ class TestWireFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             CoverageMap.from_bytes(b"not a coverage map")
+
+    def test_rejects_every_truncation(self):
+        """A cut anywhere, inside a run header or a page run, is an error,
+        never a shorter map."""
+        raw = CoverageMap.from_addrs({1, 9000, 8191, 70000, 70001}).to_bytes()
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                CoverageMap.from_bytes(raw[:cut])
+
+    def test_rejects_trailing_bytes(self):
+        raw = CoverageMap.from_addrs({1, 9000}).to_bytes()
+        with pytest.raises(ValueError, match="trailing"):
+            CoverageMap.from_bytes(raw + b"\x00")
+
+    def test_rejects_oversized_page_run(self):
+        """A run longer than one page would set bits of the next page."""
+        too_long = _PAGE_BYTES + 1
+        raw = (
+            b"CMB1" + struct.pack("<I", 1) + struct.pack("<QH", 0, too_long)
+            + b"\x01" * too_long
+        )
+        with pytest.raises(ValueError, match="bad page run"):
+            CoverageMap.from_bytes(raw)
+
+    def test_text_rejects_damage(self):
+        """Bad base64, a stream that is not zlib, and a valid zlib stream
+        of a malformed bitmap are all ValueError."""
+        raw = CoverageMap.from_addrs({1, 9000}).to_bytes()
+        for text in (
+            "not base64!",
+            base64.b64encode(raw).decode(),
+            base64.b64encode(zlib.compress(raw[:-1])).decode(),
+        ):
+            with pytest.raises(ValueError):
+                CoverageMap.from_text(text)
